@@ -1857,13 +1857,10 @@ def _q_frontier_urls(sf_dir: str):
         ray.data.read_parquet(pages, columns=["url"])
         .map_batches(_crawled, batch_format="pyarrow")
     )
-    from fuzi_rd.functions.dedup import _compact
+    from fuzi_rd.functions.dedup import _compact, hash_join
 
-    frontier = _compact(discovered).join(
-        _compact(crawled),
-        join_type="left_anti",
-        num_partitions=8,
-        on=("url",),
+    frontier = hash_join(
+        _compact(discovered), _compact(crawled), "left_anti", 8, ("url",)
     )
     return frontier
 

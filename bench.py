@@ -27,7 +27,7 @@ import time
 
 REPO = pathlib.Path(__file__).resolve().parent
 # 4M default: at round-5 fast-path speed a 1M job finishes in ~11 s at 32
-# cpus and the fixed ~4 s session/actor-pool spin-up is ~30% of the wall —
+# cpus and the fixed ~4 s session spin-up is ~30% of the wall —
 # the headline stops measuring the pipeline (round-4's 1M headline read
 # 69k docs/s while the same code sustained 89-100k on the 8M scaling legs).
 # At 4M pages the ramp is <10% of the wall; `n_pages` in the JSON makes the
@@ -35,10 +35,10 @@ REPO = pathlib.Path(__file__).resolve().parent
 # comparable number (page table is generated once, cached in /tmp).
 BENCH_PAGE_ROWS = int(os.environ.get("FUZI_BENCH_PAGES", "4000000"))
 # big enough that steady-state throughput dominates the fixed ~5-10 s
-# session/actor-pool ramp (the real 100 TB job runs for hours; a sub-minute
+# session ramp (the real 100 TB job runs for hours; a sub-minute
 # proxy job would measure startup, not scaling)
 # 8M pages: with the C parse kernel a 1M job finishes in ~19 s at 32 cpus
-# and the ~4 s session/pool spin-up structurally deflates the wide leg;
+# and the ~4 s session spin-up structurally deflates the wide leg;
 # at 8M the ramp is ~3% of the 32-leg wall on both legs
 SCALING_PAGE_ROWS = int(os.environ.get("FUZI_SCALING_PAGES", "8000000"))
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
@@ -94,9 +94,7 @@ def _ensure_pages(n_rows: int) -> str:
     return str(out)
 
 
-def run_extraction_bench(
-    num_cpus: int, n_rows: int = BENCH_PAGE_ROWS, concurrency=None
-) -> dict:
+def run_extraction_bench(num_cpus: int, n_rows: int = BENCH_PAGE_ROWS) -> dict:
     """Headline: full extraction job (read -> extract -> partitioned write
     + manifests).  Returns wall seconds + docs/sec."""
     import ray
@@ -122,7 +120,6 @@ def run_extraction_bench(
         resume=False,
         batch_size=512,
         run_id=f"bench-{num_cpus}",
-        concurrency=concurrency,
     )
     wall = time.monotonic() - t0
     return {
@@ -688,11 +685,7 @@ def main_scaling_child(cpus: int) -> None:
         include_dashboard=False,
         ignore_reinit_error=True,
     )
-    # Same config rule at both scales: the pipeline's own default pool
-    # sizing (floor(0.7 x cpus)).  Measured alternatives: exactly
-    # proportional pools (0.75 x cpus -> 6 and 24 actors) LOWER efficiency
-    # to 0.62 because the extra small-leg actor outruns the big leg's
-    # per-core contention; the default rule is what production runs use.
+    # same job config at both scales: the pipeline's own defaults
     res = run_extraction_bench(cpus)
     print(json.dumps(res))
     ray.shutdown()

@@ -24,7 +24,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="output directory (partitioned parquet + _manifests)")
     ap.add_argument("--num-parts", type=int, default=256, help="url-hash partition count (stable across runs)")
     ap.add_argument("--batch-size", type=int, default=512)
-    ap.add_argument("--concurrency", type=int, default=None, help="extraction actor pool size (default: 70%% of CPUs)")
     ap.add_argument("--skew-threshold", type=int, default=None, help="html bytes above which a page is routed to the batch_size=1 branch")
     ap.add_argument("--recipe", default=None, help='JSON dict of named queries, e.g. {"h1": "css: h1", "n_links": "count(//a)"}')
     ap.add_argument("--no-resume", action="store_true", help="wipe the output dir and recompute everything")
@@ -43,7 +42,6 @@ def main(argv=None) -> int:
         args.input,
         args.out,
         recipe=json.loads(args.recipe) if args.recipe else None,
-        concurrency=args.concurrency,
         batch_size=args.batch_size,
         num_parts=args.num_parts,
         skew_threshold=args.skew_threshold,

@@ -87,6 +87,32 @@ def _adaptive_partitions(mds, rows_per_partition: int = 65536) -> int:
     return max(1, min(cpus, (n + rows_per_partition - 1) // rows_per_partition))
 
 
+def hash_join(left, right, join_type: str, num_partitions: int, on: tuple):
+    """``left.join(right, ...)`` whose aggregator actors fit the cluster.
+
+    Ray reserves ``memory`` for each join aggregator from a per-partition
+    size estimate that defaults to the 128 MiB target block size; together
+    the aggregators reserve up to 7x that estimate per partition, so a
+    16-partition join asks for 14 GiB.  On a node with less Ray ``memory``
+    the aggregators that do not fit stay pending and the join never
+    finishes.  The estimate is capped so that one join reserves at most a
+    quarter of the cluster's memory (a plan may run a few joins at once);
+    it only sizes the reservation, not the partitions."""
+    import ray
+    from ray.data import DataContext
+
+    block = DataContext.get_current().target_max_block_size or 128 * 2**20
+    budget = ray.cluster_resources().get("memory", 0) / 4
+    hint = min(block, max(1, int(budget // (7 * num_partitions))))
+    return left.join(
+        right,
+        join_type=join_type,
+        num_partitions=num_partitions,
+        on=on,
+        partition_size_hint=hint,
+    )
+
+
 def semi_join(ds, keys_ds, key: str, num_partitions: int | None = None):
     """Distributed semi-join: rows of ``ds`` whose ``key`` appears in
     ``keys_ds`` (which must contain exactly the key column).
@@ -95,11 +121,8 @@ def semi_join(ds, keys_ds, key: str, num_partitions: int | None = None):
     driver-side materialization and no broadcast of the key set, so it
     holds when the key set is a large fraction of the corpus (the exact
     winner set of a dedup IS nearly the whole corpus)."""
-    return ds.join(
-        keys_ds,
-        join_type="inner",
-        num_partitions=_semi_join_partitions(num_partitions),
-        on=(key,),
+    return hash_join(
+        ds, keys_ds, "inner", _semi_join_partitions(num_partitions), (key,)
     )
 
 
@@ -108,11 +131,8 @@ def anti_join(ds, keys_ds, key: str, num_partitions: int | None = None):
     in ``keys_ds`` (which must contain exactly the key column).  Same
     hash-partitioned shape as ``semi_join`` — no driver-side key set, no
     broadcast — via the native ``left_anti`` join."""
-    return ds.join(
-        keys_ds,
-        join_type="left_anti",
-        num_partitions=_semi_join_partitions(num_partitions),
-        on=(key,),
+    return hash_join(
+        ds, keys_ds, "left_anti", _semi_join_partitions(num_partitions), (key,)
     )
 
 
@@ -442,9 +462,7 @@ def paragraph_dedup_keep(ds, sep: str = "\n\n", num_partitions: int | None = Non
         .map_groups(_keep_blob, batch_format="pyarrow")
     )
 
-    joined = ds.join(
-        keep_sets, join_type="inner", num_partitions=P, on=("doc_id",)
-    )
+    joined = hash_join(ds, keep_sets, "inner", P, ("doc_id",))
 
     def _rebuild(batch: pa.Table) -> pa.Table:
         out_ids, out_texts = [], []
@@ -861,11 +879,8 @@ def connected_components_min_label(
     while True:
         rounds += 1
         # neighbor_min(v) = min label over v's neighbors; new = min(own, that)
-        nbr = edges.join(
-            _rename(labels, {"doc_id": "src"}),
-            join_type="inner",
-            num_partitions=P,
-            on=("src",),
+        nbr = hash_join(
+            edges, _rename(labels, {"doc_id": "src"}), "inner", P, ("src",)
         )
         nbr_min = (
             _rename(nbr, {"dst": "doc_id"})
@@ -879,11 +894,12 @@ def connected_components_min_label(
         # pointer jump: label <- label(label).  Every label is itself a node
         # id (a min over node ids), so the self-join is total; the jump
         # composes two hops into one and halves remaining path lengths.
-        jumped = new_labels.join(
+        jumped = hash_join(
+            new_labels,
             _rename(new_labels, {"doc_id": "label", "label": "label2"}),
-            join_type="inner",
-            num_partitions=P,
-            on=("label",),
+            "inner",
+            P,
+            ("label",),
         )
         new_labels = _compact(
             _rename(
@@ -1007,18 +1023,20 @@ def minhash_dedup(
 
     P = _semi_join_partitions(num_partitions)
     with_a = _compact(
-        pairs.join(
+        hash_join(
+            pairs,
             _rename(shingles, {"doc_id": "id_a", "shingles": "sh_a"}),
-            join_type="inner",
-            num_partitions=P,
-            on=("id_a",),
+            "inner",
+            P,
+            ("id_a",),
         )
     )
-    with_ab = with_a.join(
+    with_ab = hash_join(
+        with_a,
         _rename(shingles, {"doc_id": "id_b", "shingles": "sh_b"}),
-        join_type="inner",
-        num_partitions=P,
-        on=("id_b",),
+        "inner",
+        P,
+        ("id_b",),
     )
     verified = _compact(
         with_ab.map_batches(
@@ -1071,11 +1089,12 @@ def minhash_keep(
     drop_ids = _compact(labels.map_batches(_losers, batch_format="pyarrow"))
     if drop_ids.count() == 0:
         return ds
-    joined = ds.join(
+    joined = hash_join(
+        ds,
         drop_ids,
-        join_type="left_outer",
-        num_partitions=_semi_join_partitions(num_partitions),
-        on=("doc_id",),
+        "left_outer",
+        _semi_join_partitions(num_partitions),
+        ("doc_id",),
     )
 
     def _keep(batch: pa.Table) -> pa.Table:

@@ -17,6 +17,8 @@ import hashlib
 
 import pyarrow as pa
 
+from fuzi_rd.functions.dedup import hash_join
+
 _OLD = "__diff_old_hash"
 _NEW = "__diff_new_hash"
 
@@ -60,11 +62,8 @@ def crawl_diff(
     new_keys = new_ds.map_batches(
         _digests(key_col, text_col, _NEW), batch_format="pyarrow"
     )
-    joined = old_keys.join(
-        new_keys,
-        join_type="full_outer",
-        num_partitions=num_partitions,
-        on=(key_col,),
+    joined = hash_join(
+        old_keys, new_keys, "full_outer", num_partitions, (key_col,)
     )
 
     def classify(batch: pa.Table) -> pa.Table:

@@ -35,6 +35,7 @@ from fuzi_rd.functions.dedup import (
     _rename,
     _semi_join_partitions,
     connected_components_min_label as connected_components,
+    hash_join,
 )
 
 __all__ = ["pagerank", "connected_components", "domain_components"]
@@ -112,15 +113,16 @@ def domain_components(
     )
     mapping_c = _compact(mapping)
     labels_c = _compact(labels)
-    joined = mapping_c.join(
+    joined = hash_join(
+        mapping_c,
         labels_c,
-        join_type="inner",
-        num_partitions=(
+        "inner",
+        (
             _adaptive_partitions(mapping_c)
             if num_partitions is None
             else num_partitions
         ),
-        on=("doc_id",),
+        ("doc_id",),
     )
 
     def _out(batch: pa.Table) -> pa.Table:
@@ -196,7 +198,7 @@ def pagerank(
         _rename(edges.groupby("src").sum("w"), {"sum(w)": "outw"})
     )
     edges_sh = _compact(
-        edges.join(outw, join_type="inner", num_partitions=P, on=("src",))
+        hash_join(edges, outw, "inner", P, ("src",))
         .map_batches(
             lambda b: pa.table(
                 {
@@ -221,11 +223,8 @@ def pagerank(
 
     for _ in range(n_iter):
         contrib = (
-            edges_sh.join(
-                _rename(ranks, {"node": "src"}),
-                join_type="inner",
-                num_partitions=P,
-                on=("src",),
+            hash_join(
+                edges_sh, _rename(ranks, {"node": "src"}), "inner", P, ("src",)
             )
             .map_batches(
                 lambda b: pa.table(
@@ -239,11 +238,12 @@ def pagerank(
             .groupby("node")
             .sum("c")
         )
-        joined = nodes.join(
+        joined = hash_join(
+            nodes,
             _compact(_rename(contrib, {"sum(c)": "c"})),
-            join_type="left_outer",
-            num_partitions=P,
-            on=("node",),
+            "left_outer",
+            P,
+            ("node",),
         )
         ranks = _compact(
             joined.map_batches(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from fuzi_rd.functions.dedup import _token_hashes
+from fuzi_rd.functions.dedup import _token_hashes, hash_join
 
 # odd multipliers -> invertible mod 2^64, so the rolling hash is O(n)
 _B1 = 0x9E3779B97F4A7C15
@@ -226,7 +226,7 @@ def duplicate_span_scrub(
 
         return ds.map_batches(_identity, batch_format="pyarrow")
 
-    joined = ds.join(packed, join_type="left_outer", num_partitions=16, on=(doc_col,))
+    joined = hash_join(ds, packed, "left_outer", 16, (doc_col,))
 
     def _scrub(batch: pa.Table) -> pa.Table:
         ids = batch.column(doc_col).to_pylist()

@@ -1,7 +1,7 @@
 """Corpus production: the composed training-data pipeline.
 
     pages (url, html)
-      -> ExtractPages actor pool          main-content text + spans
+      -> ExtractPages (read-fused tasks)  main-content text + spans
       -> keep status == 'ok' and non-empty text
       -> lang-id + quality gate           (single fused batch pass)
       -> parquet checkpoint               (dedup reads it twice, streaming)
@@ -51,7 +51,6 @@ def _cluster_node_count() -> int:
 def corpus_dataset(
     pages_ds,
     min_text_len: int = 30,
-    concurrency=None,
     batch_size: int = 256,
     dedup: bool = True,
     checkpoint_dir: str | None = None,
@@ -68,7 +67,7 @@ def corpus_dataset(
     lang_guess, content_hash, text_hash) — the cleaned, deduplicated
     corpus.  With ``emit_markdown`` / ``emit_metadata`` the rows also
     carry structure-preserving markdown and head-metadata columns,
-    produced from the SAME parse inside the extraction actor pool (no
+    produced from the SAME parse inside the extraction tasks (no
     second pass over the html) and byte-identical to the standalone
     ``ConvertMarkdown`` / ``ExtractMetadata`` stages — one job emits
     training-ready text + curation metadata in a single pass.
@@ -88,7 +87,6 @@ def corpus_dataset(
     prior run would be re-read as duplicate documents."""
     extracted = extract_dataset(
         pages_ds,
-        concurrency=concurrency,
         batch_size=batch_size,
         num_parts=num_parts,
         skip_parts=skip_parts,
@@ -285,7 +283,6 @@ def run_corpus(
     input_path,
     out_dir: str,
     min_text_len: int = 30,
-    concurrency=None,
     batch_size: int = 256,
     num_parts: int = DEFAULT_NUM_PARTS,
     num_partitions: int | None = None,
@@ -325,7 +322,6 @@ def run_corpus(
     cleaned = corpus_dataset(
         pages,
         min_text_len=min_text_len,
-        concurrency=concurrency,
         batch_size=batch_size,
         dedup=False,
         num_parts=num_parts,

@@ -2,7 +2,8 @@
 
     read_parquet (pruned columns, completed partitions skipped)
       -> skew split: oversized html rows routed to a batch_size=1 branch
-      -> ExtractPages actor pool (map_batches, zero-copy Arrow)
+      -> ExtractPages in Ray Data tasks, one warm extractor per worker
+         process (zero-copy Arrow; fused with the write below)
       -> write_parquet partitioned by url-hash part  (resumable unit)
       -> per-partition lineage manifests + run metrics roll-up
 
@@ -17,6 +18,7 @@ Design notes for 100 TB scale:
 
 from __future__ import annotations
 
+import functools
 import shutil
 import time
 import zlib
@@ -46,10 +48,27 @@ def _with_meta(num_parts: int):
     return add_meta
 
 
+@functools.lru_cache(maxsize=8)
+def _warm_extractor(config: tuple) -> ExtractPages:
+    """This worker process's ``ExtractPages`` for one constructor config,
+    built on first use and reused by every later task in the process."""
+    kwargs = dict(config)
+    kwargs["recipe"] = dict(kwargs["recipe"])
+    return ExtractPages(**kwargs)
+
+
+def extract_pages(batch: pa.Table, config: tuple) -> pa.Table:
+    """Task UDF: extract one batch with the process-warm ``ExtractPages``.
+
+    A Ray worker process runs one task at a time, so the process is the
+    isolation boundary for the extractor's non-thread-safe state (compiled
+    recipes, the loaded C kernel, ``BatchExtractor`` buffers)."""
+    return _warm_extractor(config)(batch)
+
+
 def extract_dataset(
     ds,
     recipe: dict | None = None,
-    concurrency=None,
     batch_size: int = 32,
     num_parts: int = DEFAULT_NUM_PARTS,
     skew_threshold: int | None = None,
@@ -60,36 +79,21 @@ def extract_dataset(
 ):
     """Wire the extraction stages onto an input Dataset (lazy).
 
+    Extraction runs as plain Ray Data tasks (see :func:`extract_pages`):
+    there is no actor pool to spawn per job or to size, and Ray fuses the
+    extraction with the next task stage (in ``run_extraction``, the
+    partitioned write), so extracted text never crosses the object store.
+
     ``skew_threshold``: when set, rows with ``len(html) > threshold`` are
-    routed to a separate batch_size=1 actor-pool branch (explicit skew
-    handling per SURVEY.md §4.2).  Measured guidance (bench.py --skew, 100k
-    pages with a 0.2%-count / ~60%-byte heavy tail of 1-4 MB pages):
-    routing is a THROUGHPUT LOSS there (1.8x slower) — Ray's batch-level
-    scheduling already spreads a moderate tail across the whole pool, while
-    routing splits the fleet into two pools that idle against each other
-    and re-executes the shared read per branch.  Use routing for what
-    per-batch scheduling cannot fix: EXTREME blobs (tens of MB+) where
-    ``batch_size x page_bytes`` would blow a worker's heap, or
-    pathological pages that must not share an actor with normal traffic.
-    Default None; production threshold ~32-64 MB.  Both branches' pools
-    must never demand more actors than there are CPUs or they deadlock."""
-    import ray
-
-    n_cpus = int(ray.cluster_resources().get("CPU", 4))
-    if concurrency is None:
-        # FIXED pool reserving ~25% of CPUs for the IO task pools.  Two
-        # measured facts drive this: (1) an autoscaling pool sits at its
-        # floor (4 busy actors on an 8-cpu run with concurrency=(4, 8)),
-        # idling most of the cluster; (2) extraction dominates compute, and
-        # past ~75% actors the parquet read/write task pools starve and the
-        # whole pipeline slows.  C-kernel-era sweep (1M pages):
-        #   32 cpus: 22 -> 64.6k docs/s, 24 -> 66.0k, 26 -> 61-70k,
-        #            28 -> 47.5k, 30 -> 31.6k
-        #    8 cpus: 5 -> 16.3k, 6 -> 19.6k, 7 -> 18.7k
-        # (pre-kernel optimum was 0.7x; the faster actors shift it to 0.75x.)
-        # A pool of ALL cpus deadlocks the reads that feed it.
-        concurrency = max(1, int(n_cpus * 0.75))
-
+    routed to a separate batch_size=1 branch (explicit skew handling per
+    SURVEY.md §4.2).  Measured guidance (bench.py --skew on the earlier
+    actor pools, 100k pages with a 0.2%-count / ~60%-byte heavy tail of
+    1-4 MB pages): routing is a THROUGHPUT LOSS there (1.8x slower) — Ray's
+    batch-level scheduling already spreads a moderate tail across the
+    workers, and routing re-executes the shared read per branch.  Use
+    routing for what per-batch scheduling cannot fix: EXTREME blobs (tens
+    of MB+) where ``batch_size x page_bytes`` would blow a worker's heap.
+    Default None; production threshold ~32-64 MB."""
     # The meta stage (url-hash part + html size) only exists to feed the
     # resume filter and the skew router; the extractor computes `part`
     # itself, so on a fresh, un-routed run we skip the extra pass entirely.
@@ -99,34 +103,21 @@ def extract_dataset(
         skip_list = sorted(skip_parts)
         ds = ds.filter(expr=f"part not in {skip_list}")
 
-    kwargs = dict(
-        fn_constructor_kwargs={
-            "recipe": recipe,
-            "num_parts": num_parts,
-            "emit_markdown": emit_markdown,
-            "emit_metadata": emit_metadata,
-            "emit_links": emit_links,
-        },
-        batch_format="pyarrow",
-        num_cpus=1,
+    config = (
+        ("recipe", tuple(sorted((recipe or {}).items()))),
+        ("num_parts", num_parts),
+        ("emit_markdown", emit_markdown),
+        ("emit_metadata", emit_metadata),
+        ("emit_links", emit_links),
     )
+    kwargs = dict(fn_kwargs={"config": config}, batch_format="pyarrow")
     if skew_threshold is None:
-        return ds.map_batches(
-            ExtractPages, batch_size=batch_size, concurrency=concurrency, **kwargs
-        )
-    # fixed pool for the oversized branch: an autoscaling (1, n) pool sits
-    # at 1 actor and serializes the whole heavy tail (measured 3x slower
-    # than no routing at all on a 0.2%-huge-page corpus); the small branch
-    # gives up that many actors so the two pools + IO never oversubscribe
-    large_conc = max(1, n_cpus // 4)
-    small_conc = concurrency
-    if isinstance(concurrency, int):
-        small_conc = max(1, concurrency - large_conc // 2)
+        return ds.map_batches(extract_pages, batch_size=batch_size, **kwargs)
     small = ds.filter(expr=f"n_bytes <= {skew_threshold}").map_batches(
-        ExtractPages, batch_size=batch_size, concurrency=small_conc, **kwargs
+        extract_pages, batch_size=batch_size, **kwargs
     )
     large = ds.filter(expr=f"n_bytes > {skew_threshold}").map_batches(
-        ExtractPages, batch_size=1, concurrency=large_conc, **kwargs
+        extract_pages, batch_size=1, **kwargs
     )
     return small.union(large)
 
@@ -135,7 +126,6 @@ def run_extraction(
     input_path,
     out_dir: str,
     recipe: dict | None = None,
-    concurrency=None,
     batch_size: int = 32,
     num_parts: int = DEFAULT_NUM_PARTS,
     skew_threshold: int | None = None,
@@ -180,7 +170,6 @@ def run_extraction(
     result = extract_dataset(
         ds,
         recipe=recipe,
-        concurrency=concurrency,
         batch_size=batch_size,
         num_parts=num_parts,
         skew_threshold=skew_threshold,
@@ -199,8 +188,9 @@ def run_extraction(
     # batch with num_parts (>= 64 rows per part-file) or parquet
     # fixed-per-file overhead dominates — measured at 4M pages: num_parts
     # 256 with an 8k batch (32-row files) ran 26% slower than num_parts 64.
-    # Cap keeps one writer batch's arrow data well inside a worker heap and
-    # write tasks starting early enough to overlap extraction.
+    # Cap keeps one writer batch's arrow data well inside a worker heap.
+    # Un-routed extraction fuses into this writer, so the batch is also
+    # the input size of one extract+write task.
     writer_batch = min(max(batch_size * 16, num_parts * 64, 2048), 65536)
     stats_ds = result.map_batches(
         _block_writer(str(out)), batch_size=writer_batch,

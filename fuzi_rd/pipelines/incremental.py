@@ -55,7 +55,7 @@ def incremental_extract(
     per-url change classification (added/removed/changed/same) for
     lineage/metrics; removed pages appear only in ``classes_ds``.
     """
-    from fuzi_rd.functions.dedup import _compact
+    from fuzi_rd.functions.dedup import _compact, hash_join
 
     if extract is None:
         from fuzi_rd.pipelines.extraction import extract_dataset
@@ -104,10 +104,7 @@ def incremental_extract(
     # block refs stay in the object store, which spills — at crawl scale a
     # parquet checkpoint à la pipelines/corpus.py is the durable variant).
     todo_pages = _compact(
-        new_pages.join(
-            todo_keys, join_type="inner", num_partitions=num_partitions,
-            on=(key_col,),
-        )
+        hash_join(new_pages, todo_keys, "inner", num_partitions, (key_col,))
     )
     fresh = extract(todo_pages)
     if n_same == 0:

@@ -1,10 +1,13 @@
-"""The extraction stage: a Ray Data ``map_batches`` actor-pool class.
+"""The extraction stage: a callable class over Arrow batches.
 
-This is the Ray analog of the reference's ``HTMLActor`` (reference:
-/root/reference/Sources/Actor.swift:278-405 — parser state pinned to one
-execution context, only immutable value data crosses the boundary).  Warm
-state (compiled recipe XPath ASTs) is built once per actor in ``__init__``;
-``__call__`` receives zero-copy Arrow batches and emits Arrow batches.
+This is the Ray analog of the reference's ``HTMLActor`` (Sources/Actor.swift
+— parser state pinned to one execution context, only immutable value data
+crosses the boundary).  Warm state (compiled recipe XPath ASTs, the loaded C
+kernel, ``BatchExtractor`` buffers) is built once in ``__init__``;
+``__call__`` receives zero-copy Arrow batches and emits Arrow batches.  The
+pipeline (``pipelines/extraction.py``) runs it inside Ray Data tasks, one
+warm instance per worker process and constructor config: a worker process
+runs one task at a time, so the process is the execution context.
 
 Output schema (per input row, poison-pill tolerant — a failing page becomes
 a ``status='error'`` row, it never fails the block):
@@ -55,8 +58,7 @@ def url_part(url: str, num_parts: int = DEFAULT_NUM_PARTS) -> int:
 
 
 class ExtractPages:
-    """Callable class for ``ds.map_batches(ExtractPages, concurrency=N,
-    batch_format="pyarrow", fn_constructor_kwargs=...)``."""
+    """Callable over ``pyarrow`` batches; see the module docstring."""
 
     def __init__(
         self,
@@ -68,7 +70,7 @@ class ExtractPages:
         emit_links: bool = False,
         max_links_per_page: int | None = None,
     ):
-        # Warm per-actor state: compile every recipe selector ONCE
+        # Warm state: compile every recipe selector ONCE
         # (reference precedent: XMLActor owning compiled parser state,
         # Sources/Actor.swift:136-167).
         self.recipe = {}
@@ -94,7 +96,7 @@ class ExtractPages:
             max_links_per_page = DEFAULT_MAX_LINKS
         self.max_links = max_links_per_page
         # Optional C parse kernel (fuzi_rd/_chtml.c): built/loaded once per
-        # actor; the import-time self-check plus the differential suite
+        # process; the import-time self-check plus the differential suite
         # (tests/test_chtml_equivalence.py) gate its use.  Documents it
         # declines (returns None) fall back to the Python parser, so output
         # is byte-identical either way.

@@ -30,6 +30,7 @@ from urllib.parse import urljoin
 import pyarrow as pa
 
 from fuzi_rd.dom import ELEMENT
+from fuzi_rd.functions.dedup import hash_join
 from fuzi_rd.html_parser import parse_html_bytes
 
 _CAP = 500  # per-field character cap: metadata, not content
@@ -222,9 +223,4 @@ def canonical_dedup_keep(pages_ds, meta_ds=None, concurrency=None):
         return pa.table({"url": b.column("min(url)")})
 
     winner_ds = winners.map_batches(winner_urls, batch_format="pyarrow")
-    return pages_ds.join(
-        winner_ds,
-        join_type="inner",
-        num_partitions=16,
-        on=("url",),
-    )
+    return hash_join(pages_ds, winner_ds, "inner", 16, ("url",))

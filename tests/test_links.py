@@ -192,7 +192,7 @@ def test_fused_emit_links_identity(ray_session, tmp_path_factory):
 def test_fused_corpus_webgraph_single_parse_plan(ray_session, tmp_path_factory):
     """Plan-shape pin for the fused corpus+webgraph job: deriving the edge
     list from the emit_links column adds NO parser stage — the whole lazy
-    plan contains exactly one ExtractPages operator and no ExtractLinks."""
+    plan contains exactly one extraction operator and no ExtractLinks."""
     import ray
 
     from fuzi_rd.pipelines.extraction import extract_dataset
@@ -207,7 +207,7 @@ def test_fused_corpus_webgraph_single_parse_plan(ray_session, tmp_path_factory):
     graph = link_graph(links_from_extracted(extracted), drop_self=False)
 
     names = _op_names(graph)
-    assert sum("ExtractPages" in n for n in names) == 1, names
+    assert sum("extract_pages" in n for n in names) == 1, names
     assert not any("ExtractLinks" in n for n in names), names
     # and the fused plan actually produces the webgraph
     assert graph.take_all()

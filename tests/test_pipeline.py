@@ -39,17 +39,33 @@ def test_rollup_counts(extracted):
     assert roll["error_rows"] == 0
 
 
-def test_byte_identity_vs_single_doc(ray_session, extracted):
+# extract_dataset configs run besides the full job: a recipe forces the
+# per-row Python path, emit_links the batched fast path plus fused links
+IDENTITY_CONFIGS = {
+    "job": None,
+    "recipe": {"recipe": {"h1": "css: h1", "n_links": "count(//a)"}},
+    "emit_links": {"emit_links": True},
+}
+
+
+@pytest.mark.parametrize("config", list(IDENTITY_CONFIGS))
+def test_byte_identity_vs_single_doc(ray_session, extracted, pages_dir, config):
     """The distributed pipeline's extracted_text must be byte-identical per
     url to the single-document engine run driver-side on the same html
     (the north_rule correctness invariant, applied to our own engine)."""
     import ray
 
-    out, _ = extracted
-    got = {
-        r["url"]: (r["extracted_text"], r["title"], r["spans"])
-        for r in ray.data.read_parquet(out).take_all()
-    }
+    from fuzi_rd.pipelines.extraction import extract_dataset
+
+    kwargs = IDENTITY_CONFIGS[config]
+    if kwargs is None:
+        rows = ray.data.read_parquet(extracted[0]).take_all()
+    else:
+        pages = ray.data.read_parquet(pages_dir, columns=["url", "html"])
+        rows = extract_dataset(
+            pages, num_parts=NUM_PARTS, batch_size=16, **kwargs
+        ).take_all()
+    got = {r["url"]: (r["extracted_text"], r["title"], r["spans"]) for r in rows}
     assert len(got) == N_ROWS
     for seq in range(N_ROWS):
         url, _, html, _, _ = row_for_seq(seq)
@@ -137,9 +153,7 @@ def test_skew_routing_branch(ray_session, tmp_path):
     ds = ray.data.read_parquet(str(p))
     rows = {
         r["url"]: r
-        for r in extract_dataset(
-            ds, concurrency=(1, 2), skew_threshold=10_000
-        ).take_all()
+        for r in extract_dataset(ds, skew_threshold=10_000).take_all()
     }
     assert len(rows) == 11
     assert rows["https://x.test/huge"]["status"] == "ok"
@@ -164,10 +178,94 @@ def test_error_rows_do_not_poison(ray_session, tmp_path):
     p = tmp_path / "in.parquet"
     pq.write_table(tbl, p)
     ds = ray.data.read_parquet(str(p))
-    rows = {r["url"]: r for r in extract_dataset(ds, concurrency=(1, 1)).take_all()}
+    rows = {r["url"]: r for r in extract_dataset(ds).take_all()}
     assert rows["https://x.test/empty"]["status"] == "error"
     assert rows["https://x.test/ok"]["status"] == "ok"
     assert "good content here" in rows["https://x.test/ok"]["extracted_text"]
+
+
+def test_warm_extractor_once_per_process_and_config(ray_session, monkeypatch):
+    """The extraction task UDF keeps one warm ExtractPages per worker process
+    and config: two batches with one config build it once, and a different
+    recipe config gets its own instance."""
+    import ray
+
+    from fuzi_rd.pipelines import extraction
+    from fuzi_rd.sources.pages import pages_table
+
+    built = []
+
+    class Counting(extraction.ExtractPages):
+        def __init__(self, **kwargs):
+            built.append(kwargs)
+            super().__init__(**kwargs)
+
+    def shipped_config(**kwargs):
+        # the config extract_dataset hands to its tasks
+        ds = extraction.extract_dataset(ray.data.range(1), **kwargs)
+        return ds._logical_plan.dag._fn_kwargs["config"]
+
+    monkeypatch.setattr(extraction, "ExtractPages", Counting)
+    extraction._warm_extractor.cache_clear()
+    try:
+        batch = pages_table(8)
+        plain = shipped_config()
+        extraction.extract_pages(batch.slice(0, 4), plain)
+        extraction.extract_pages(batch.slice(4, 4), plain)
+        assert len(built) == 1
+        out = extraction.extract_pages(batch, shipped_config(recipe={"h1": "css: h1"}))
+        assert len(built) == 2
+        assert built[1]["recipe"] == {"h1": "css: h1"}
+        assert "h1" in out.column_names
+        extraction.extract_pages(batch, plain)
+        assert len(built) == 2
+    finally:
+        extraction._warm_extractor.cache_clear()
+
+
+_ONE_CPU_JOB = """
+import sys
+
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False)
+from fuzi_rd.pipelines.extraction import run_extraction
+
+run_extraction(sys.argv[1], sys.argv[2], num_parts=16, resume=False)
+ray.shutdown()
+"""
+
+
+def test_one_cpu_session_does_not_hang(tmp_path):
+    """A Ray session with one logical CPU must finish the job: a fixed
+    extraction actor pool once took the only CPU, so the read tasks never
+    ran.  The job runs in a child process so a hang cannot wedge this one."""
+    import os
+    import pathlib
+    import signal
+    import subprocess
+    import sys
+
+    root = str(pathlib.Path(__file__).resolve().parents[1])
+    pages, out = tmp_path / "pages", tmp_path / "out"
+    write_pages_parquet(str(pages), 2000, rows_per_file=500)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    with open(tmp_path / "child.log", "w+") as log:
+        child = subprocess.Popen(
+            [sys.executable, "-c", _ONE_CPU_JOB, str(pages), str(out)],
+            cwd=root, env=env, stdout=log, stderr=subprocess.STDOUT,
+            start_new_session=True,
+        )
+        try:
+            child.wait(timeout=180)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+            pytest.fail("run_extraction with 1 logical CPU ran past 180 s")
+        log.seek(0)
+        assert child.returncode == 0, log.read()[-2000:]
+    assert sum(m["rows"] for m in mf.read_manifests(str(out))) == 2000
 
 
 def test_page_generator_frozen():
