@@ -1402,7 +1402,7 @@ def _q_extract_pages(sf_dir: str):
 
 
 def _q_page_links(sf_dir: str):
-    """Outlink extraction over the synthesized page table: actor-pool parse
+    """Outlink extraction over the synthesized page table: task-UDF parse
     (C kernel + fallback), arena flat-scan for anchors, <base href>-aware
     resolution, row-expanding (src_url, dst_url, anchor, nofollow) output —
     the crawl-frontier / webgraph feed (rows-only; HTML parse has no SQL)."""
@@ -1489,7 +1489,7 @@ def _q_incremental_extract(sf_dir: str):
 
 def _q_page_markdown(sf_dir: str):
     """HTML -> Markdown conversion over the synthesized page table: one
-    actor-pool parse + recursion-free arena render per page (headings,
+    task-UDF parse + recursion-free arena render per page (headings,
     lists, links, code fences, tables), one row out per page, no shuffle
     (rows-only; structure rendering has no SQL; goldens in pytest)."""
     import ray
@@ -1504,7 +1504,7 @@ def _q_page_markdown(sf_dir: str):
 def _q_page_tables(sf_dir: str):
     """HTML table extraction (structured data from the crawl): one row per
     table CELL with (table_idx, row_idx, col_idx) grid coordinates plus
-    header/span flags — one actor-pool parse + bounded preorder arena scan
+    header/span flags — one task-UDF parse + bounded preorder arena scan
     per page, hard caps on tables/rows/cells, no shuffle (rows-only; HTML
     parse has no SQL)."""
     import ray
@@ -1518,7 +1518,7 @@ def _q_page_tables(sf_dir: str):
 
 def _q_page_metadata(sf_dir: str):
     """Head-metadata extraction: title, meta description, canonical URL,
-    lang, robots directives, og: fields — one actor-pool parse + bounded
+    lang, robots directives, og: fields — one task-UDF parse + bounded
     arena scan per page, one fixed-width row out, no shuffle (rows-only;
     HTML parse has no SQL)."""
     import ray
@@ -1687,7 +1687,7 @@ def _q_corpus_pipeline(sf_dir: str):
 def _q_corpus_training_ready(sf_dir: str):
     """The one-pass training-ready corpus (VERDICT r3 item 9): the composed
     corpus pipeline with the opt-in markdown + head-metadata columns fused
-    into the extraction actor pool — text, structure-preserving markdown
+    into the extraction tasks — text, structure-preserving markdown
     and curation metadata from a SINGLE parse per page (rows-only;
     byte-identity vs the standalone stages is pinned by pytest)."""
     import ray
@@ -2032,8 +2032,9 @@ def _q_emb_near_dup_lsh(sf_dir: str):
 
 def _q_pages_css_query(sf_dir: str):
     """Fuzi-parity query surface as a pipeline: per-page CSS and XPath
-    recipe queries (compiled once per actor) evaluated over the synthesized
-    page table — the distributed analog of HTMLDocument.css/xpath/eval
+    recipe queries (compiled once per worker process) evaluated over the
+    synthesized page table — the distributed analog of
+    HTMLDocument.css/xpath/eval
     (reference: /root/reference/Sources/Queryable.swift:28-84)."""
     import ray
 
@@ -2059,7 +2060,7 @@ def _q_pages_css_query(sf_dir: str):
 def _q_pdf_extract(sf_dir: str):
     """PDF/layout parse tier: synthesize a deterministic PDF per document
     (sources/pdfs.py — FlateDecode/hex streams, Td/T*/'/Tm layouts, TJ kern
-    gaps, corrupted xrefs) and extract the text back with the actor-pool
+    gaps, corrupted xrefs) and extract the text back with the task-UDF
     PDF stage (stages/pdf_extract.py).  The writer/reader round-trip
     contract (pdf_text(make_pdf(t, seq)) == t) makes this oracle-checkable:
     the extracted text must equal documents.text exactly, and n_pages is a

@@ -620,62 +620,6 @@ def _record_scaling(out: dict) -> None:
         f.writelines(lines)
 
 
-def _ensure_skew_pages(n_rows: int, huge_every: int = 500) -> str:
-    """Heavy-tail page table: every ``huge_every``-th page is 1-4 MB."""
-    out = pathlib.Path(f"/tmp/fuzi_rd_skew_pages_{n_rows}_{huge_every}")
-    if not out.exists():
-        import pyarrow.parquet as pq
-
-        from fuzi_rd.sources.pages import skew_pages_table
-
-        out.mkdir(parents=True)
-        rows_per_file = max(n_rows // 32, 100)
-        start, shard = 0, 0
-        while start < n_rows:
-            n = min(rows_per_file, n_rows - start)
-            pq.write_table(
-                skew_pages_table(n, start=start, huge_every=huge_every),
-                out / f"pages-{shard:05d}.parquet",
-                compression="zstd",
-            )
-            start += n
-            shard += 1
-    return str(out)
-
-
-def main_skew() -> None:
-    """Heavy-tail input (0.2% of pages are 1-4 MB): the same job with and
-    without the oversized-blob router (html > 512 KiB -> batch_size=1
-    branch).  Demonstrates the north_rule's explicit skew splitting."""
-    import ray
-
-    from fuzi_rd.pipelines.extraction import run_extraction
-
-    n_rows = int(os.environ.get("FUZI_SKEW_PAGES", "100000"))
-    ray.init(
-        address="local", num_cpus=NUM_CPUS, include_dashboard=False,
-        ignore_reinit_error=True,
-    )
-    pages = _ensure_skew_pages(n_rows)
-    results = {}
-    for tag, thr in (("unrouted", None), ("routed", 512 * 1024)):
-        out_dir = f"/tmp/fuzi_rd_skew_out_{tag}"
-        shutil.rmtree(out_dir, ignore_errors=True)
-        t0 = time.monotonic()
-        roll = run_extraction(
-            pages, out_dir, num_parts=64, resume=False, batch_size=512,
-            skew_threshold=thr, run_id=f"skew-{tag}",
-        )
-        wall = time.monotonic() - t0
-        results[tag] = {
-            "wall_s": round(wall, 2),
-            "docs_per_sec": round(roll["rows"] / wall, 1),
-            "rows": roll["rows"],
-            "ok_rows": roll["ok_rows"],
-        }
-    print(json.dumps({"metric": "skew routing (heavy-tail input)", **results}))
-
-
 def main_scaling_child(cpus: int) -> None:
     import ray
 
@@ -696,7 +640,5 @@ if __name__ == "__main__":
         main_scaling_child(int(sys.argv[sys.argv.index("--scaling-child") + 1]))
     elif "--scaling" in sys.argv:
         main_scaling()
-    elif "--skew" in sys.argv:
-        main_skew()
     else:
         main_bench()

@@ -24,7 +24,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="output directory (partitioned parquet + _manifests)")
     ap.add_argument("--num-parts", type=int, default=256, help="url-hash partition count (stable across runs)")
     ap.add_argument("--batch-size", type=int, default=512)
-    ap.add_argument("--skew-threshold", type=int, default=None, help="html bytes above which a page is routed to the batch_size=1 branch")
     ap.add_argument("--recipe", default=None, help='JSON dict of named queries, e.g. {"h1": "css: h1", "n_links": "count(//a)"}')
     ap.add_argument("--no-resume", action="store_true", help="wipe the output dir and recompute everything")
     ap.add_argument("--max-error-rate", type=float, default=0.0, help="max tolerated fraction of error rows before exiting non-zero")
@@ -44,7 +43,6 @@ def main(argv=None) -> int:
         recipe=json.loads(args.recipe) if args.recipe else None,
         batch_size=args.batch_size,
         num_parts=args.num_parts,
-        skew_threshold=args.skew_threshold,
         resume=not args.no_resume,
         run_id=args.run_id,
     )

@@ -32,6 +32,7 @@ import numpy as np
 
 from fuzi_rd.dom import Arena
 from fuzi_rd.errors import ParseError
+from fuzi_rd.html_parser import parse_html_bytes
 
 _SRC = pathlib.Path(__file__).with_name("_chtml.c")
 _KNOWN_TAGS = (
@@ -43,6 +44,10 @@ _KNOWN_TAGS = (
     "header hgroup listing main menu nav ol plaintext pre section summary "
     "ul xmp"
 ).split()
+
+# Hard per-page cap: a larger page becomes an error row without a parse, so
+# one blob cannot exhaust a worker's heap.
+MAX_PAGE_BYTES = 64 * 1024 * 1024
 
 _lib = None
 _tried = False
@@ -148,8 +153,6 @@ def available() -> bool:
         _lib = _build_and_load()
         # import-time self-check: a tag-soup page must parse identically to
         # the Python parser, or the kernel is disabled for this process
-        from fuzi_rd.html_parser import parse_html_bytes
-
         probe = (
             b"<html><head><title>T &amp; t</title><META X=1></head>"
             b"<body><p>a<p>b<ul><li>1<li>2</ul>"
@@ -162,6 +165,36 @@ def available() -> bool:
     except Exception:
         _lib = None
     return _lib is not None
+
+
+def check_page_size(raw) -> None:
+    """Raise ParseError for a page over ``MAX_PAGE_BYTES``: the one size
+    check every HTML page stage applies before it parses."""
+    if len(raw) > MAX_PAGE_BYTES:
+        raise ParseError(
+            f"parserFailure: {len(raw)}-byte page exceeds the "
+            f"{MAX_PAGE_BYTES}-byte cap"
+        )
+
+
+def parse_page(raw) -> Arena:
+    """Parse one page for a page stage: the C kernel when it is available
+    and accepts the document, else the Python parser (the authority).
+
+    A kernel ``ParseError`` propagates unchanged: it is the error the Python
+    parser raises for the same input.  Any other kernel exception falls
+    back to Python.  Line numbers are not tracked."""
+    check_page_size(raw)
+    if available():
+        try:
+            arena = parse_html_bytes_fast(raw)
+        except ParseError:
+            raise
+        except Exception:
+            arena = None  # kernel bug: Python is the authority
+        if arena is not None:
+            return arena
+    return parse_html_bytes(raw, track_lines=False)
 
 
 def _arena_equal(a: Arena, b: Arena) -> bool:

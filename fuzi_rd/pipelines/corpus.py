@@ -72,7 +72,7 @@ def corpus_dataset(
     ``ConvertMarkdown`` / ``ExtractMetadata`` stages — one job emits
     training-ready text + curation metadata in a single pass.
     ``emit_links`` adds the resolved-outlink column the same way (edge
-    rows byte-identical to the standalone ``ExtractLinks``); flatten it
+    rows byte-identical to the standalone ``extract_links``); flatten it
     with ``links_from_extracted`` to feed ``link_graph`` /
     ``domain_components`` / ``pagerank`` — the webgraph as a by-product
     of the one parse this job already pays for.
@@ -168,115 +168,10 @@ def corpus_dataset(
         p.mkdir(parents=True, exist_ok=True)
     corpus.write_parquet(ckpt)
     corpus = ray.data.read_parquet(ckpt)
-    return _dedup_keep_by_hash(corpus, num_partitions)
-
-
-def _dedup_keep_by_hash(corpus, num_partitions: int | None = None):
-    """Exact dedup on the EXTRACTED text: the winner scan shuffles only
-    (16-byte hash, url) pairs; the winner-url dataset then semi-joins back
-    against the corpus (hash-partitioned on url) — no driver-side winner
-    set, no broadcast (same shape as exact_dedup_keep)."""
-    from fuzi_rd.functions.dedup import semi_join
-
-    pairs = corpus.select_columns(["content_hash", "url"])
-    winners_ds = pairs.groupby("content_hash").min("url")
-
-    def _urls_only(batch: pa.Table) -> pa.Table:
-        return pa.table({"url": batch.column("min(url)")})
-
-    keep_urls = winners_ds.map_batches(_urls_only, batch_format="pyarrow")
-    return semi_join(corpus, keep_urls, "url", num_partitions)
+    return _dedup_keep_by_hash_subset(corpus, corpus, num_partitions)
 
 
 # -- job form: partitioned writes + two-level crash resume -------------------
-
-
-def _corpus_block_writer(out_dir: str):
-    """Writer task for corpus rows: split one batch by url-hash part,
-    append one parquet file per (task, part) with a deterministic
-    content-hash name (retries rewrite the same file — idempotent), return
-    tiny per-part stat rows.  Mirrors extraction's _block_writer; the
-    summed per-row crc32 makes partition checksums order- and
-    batching-independent."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        batch = batch.combine_chunks().sort_by("part")
-        part_np = batch.column("part").to_numpy()
-        rows = {"part": [], "rows": [], "bytes_out": [], "text_checksum": []}
-        uniq, starts = np.unique(part_np, return_index=True)
-        bounds = list(starts) + [len(batch)]
-        for j, part in enumerate(uniq.tolist()):
-            sub = batch.slice(bounds[j], bounds[j + 1] - bounds[j])
-            token = hashlib.blake2b(
-                "\x00".join(sub.column("url").to_pylist()).encode(),
-                digest_size=8,
-            ).hexdigest()
-            pdir = Path(out_dir) / f"part={part}"
-            pdir.mkdir(parents=True, exist_ok=True)
-            pq.write_table(
-                sub.drop_columns(["part"]),
-                pdir / f"data-{token}-{len(sub)}.parquet",
-                compression="zstd",
-            )
-            rows["part"].append(int(part))
-            rows["rows"].append(len(sub))
-            rows["bytes_out"].append(
-                pc.sum(sub.column("text_len")).as_py() or 0
-            )
-            rows["text_checksum"].append(
-                (pc.sum(sub.column("text_hash")).as_py() or 0) % (2**63)
-            )
-        return pa.table(
-            {
-                "part": pa.array(rows["part"], pa.int32()),
-                "rows": pa.array(rows["rows"], pa.int64()),
-                "bytes_out": pa.array(rows["bytes_out"], pa.int64()),
-                "text_checksum": pa.array(rows["text_checksum"], pa.int64()),
-            }
-        )
-
-    return write_block
-
-
-def _write_partitioned(ds, out_dir: str, run_id: str, batch_size: int) -> None:
-    """Partitioned corpus write + per-part manifests (shuffle-free: the
-    writer splits each batch by the url-hash `part` column; only tiny stat
-    rows reach the driver)."""
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    writer_batch = min(max(batch_size * 16, 2048), 65536)
-    stats_ds = ds.map_batches(
-        _corpus_block_writer(out_dir),
-        batch_size=writer_batch,
-        batch_format="pyarrow",
-    )
-    agg: dict[int, dict] = {}
-    for row in stats_ds.take_all():  # O(tasks x parts-per-task) tiny rows
-        a = agg.setdefault(
-            row["part"],
-            {"run_id": run_id, "rows": 0, "bytes_out": 0, "text_checksum": 0},
-        )
-        a["rows"] += row["rows"]
-        a["bytes_out"] += row["bytes_out"]
-        a["text_checksum"] = (a["text_checksum"] + row["text_checksum"]) % (
-            2**63
-        )
-    for part, stats in agg.items():
-        mf.write_manifest(out_dir, part, stats)
-
-
-def _clean_incomplete(out_dir: str, completed: set[int]) -> None:
-    out = Path(out_dir)
-    if not out.is_dir():
-        return
-    for d in out.glob("part=*"):
-        try:
-            part = int(d.name.split("=", 1)[1])
-        except ValueError:
-            continue
-        if part not in completed:
-            shutil.rmtree(d, ignore_errors=True)
 
 
 def run_corpus(
@@ -300,11 +195,11 @@ def run_corpus(
         out/_checkpoint/part=<k>/...   cleaned pre-dedup corpus + manifests
         out/part=<k>/...               deduplicated corpus + manifests
 
-    Resume: (1) checkpoint partitions with manifests are pruned from the
-    page READ (`part` is a pure function of url, so skipping completed
-    parts loses nothing); (2) final partitions with manifests are skipped,
-    and only missing ones are recomputed — against the FULL checkpoint, so
-    dedup winners (min url per content hash) are identical to a fresh
+    Resume: (1) pages of checkpoint partitions with manifests are dropped
+    before extraction (`part` is a pure function of url, so skipping
+    completed parts loses nothing); (2) final partitions with manifests
+    are skipped, and only missing ones are recomputed — against the FULL
+    checkpoint, so dedup winners (min url per content hash) are identical to a fresh
     run's and the resumed output is byte-identical."""
     import ray
 
@@ -315,9 +210,12 @@ def run_corpus(
         shutil.rmtree(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    writer_batch = min(max(batch_size * 16, 2048), 65536)
+    sums = {"bytes_out": "text_len"}
+
     # -- stage A: extract + clean into the partitioned checkpoint
     ckpt_done = mf.completed_parts(ckpt_dir) if resume else set()
-    _clean_incomplete(ckpt_dir, ckpt_done)
+    mf.clean_incomplete(ckpt_dir, ckpt_done)
     pages = ray.data.read_parquet(input_path, columns=["url", "html"])
     cleaned = corpus_dataset(
         pages,
@@ -330,12 +228,12 @@ def run_corpus(
         emit_metadata=emit_metadata,
     )
     if len(ckpt_done) < num_parts:
-        _write_partitioned(cleaned, ckpt_dir, run_id, batch_size)
+        mf.write_parts(cleaned, ckpt_dir, run_id, writer_batch, sums)
 
     # -- stage B: global winners over the FULL checkpoint, write only the
     # missing final partitions
     final_done = mf.completed_parts(out_dir) if resume else set()
-    _clean_incomplete(out_dir, final_done)
+    mf.clean_incomplete(out_dir, final_done)
     corpus = ray.data.read_parquet(ckpt_dir)
 
     def _part_i32(batch: pa.Table) -> pa.Table:
@@ -351,7 +249,7 @@ def run_corpus(
     else:
         todo = corpus
     deduped = _dedup_keep_by_hash_subset(corpus, todo, num_partitions)
-    _write_partitioned(deduped, out_dir, run_id, batch_size)
+    mf.write_parts(deduped, out_dir, run_id, writer_batch, sums)
 
     manifests = [
         m for m in mf.read_manifests(out_dir)
@@ -366,9 +264,13 @@ def run_corpus(
 
 
 def _dedup_keep_by_hash_subset(full_corpus, subset, num_partitions=None):
-    """Winners computed over the FULL corpus; the keep filter applied to
-    ``subset`` (the partitions being (re)computed).  With subset == full
-    this is exactly ``_dedup_keep_by_hash``."""
+    """Exact dedup on the EXTRACTED text: winners (min url per content
+    hash) computed over the FULL corpus; the keep filter applied to
+    ``subset`` (the partitions being (re)computed, or the full corpus).
+    The winner scan shuffles only (16-byte hash, url) pairs; the winner-url
+    dataset then semi-joins back against the subset (hash-partitioned on
+    url) — no driver-side winner set, no broadcast (same shape as
+    exact_dedup_keep)."""
     from fuzi_rd.functions.dedup import semi_join
 
     pairs = full_corpus.select_columns(["content_hash", "url"])

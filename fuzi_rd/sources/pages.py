@@ -220,7 +220,7 @@ def write_pages_parquet(
     return paths
 
 
-# -- heavy-tail corpus (skew-routing benchmark) ------------------------------
+# -- heavy-tail corpus (oversized-page inputs) --------------------------------
 
 
 def huge_article_page(seq: int) -> str:

@@ -30,7 +30,7 @@ a ``status='error'`` row, it never fails the block):
                          same parse (== ExtractMetadata, columns prefixed)
     [links]              opt-in (emit_links): resolved outlinks from the
                          same parse as list<struct<dst_url, anchor,
-                         nofollow>> (== ExtractLinks row-for-row once
+                         nofollow>> (== extract_links row-for-row once
                          flattened via links_from_extracted) — the
                          webgraph as a by-product of the one parse the
                          corpus job already pays for
@@ -42,6 +42,7 @@ import zlib
 
 import pyarrow as pa
 
+from fuzi_rd import chtml
 from fuzi_rd.css import xpath_from_css
 from fuzi_rd.dom import ELEMENT
 from fuzi_rd.errors import FuziError, ParseError
@@ -95,17 +96,6 @@ class ExtractPages:
 
             max_links_per_page = DEFAULT_MAX_LINKS
         self.max_links = max_links_per_page
-        # Optional C parse kernel (fuzi_rd/_chtml.c): built/loaded once per
-        # process; the import-time self-check plus the differential suite
-        # (tests/test_chtml_equivalence.py) gate its use.  Documents it
-        # declines (returns None) fall back to the Python parser, so output
-        # is byte-identical either way.
-        try:
-            from fuzi_rd import chtml
-
-            self._chtml = chtml if chtml.available() else None
-        except Exception:
-            self._chtml = None
         # Batched fast path (fuzi_rd/fastextract.py): when the stage emits
         # only the core extraction columns (+ optionally fused links — read
         # straight from the kernel attr arrays; no recipes, no fused
@@ -119,7 +109,7 @@ class ExtractPages:
         import os as _os
 
         if (
-            self._chtml is not None
+            chtml.available()
             and not self.recipe
             and not (emit_markdown or emit_metadata)
             and not _os.environ.get("FUZI_NO_FASTEXTRACT")
@@ -186,17 +176,7 @@ class ExtractPages:
             html_bytes[i] = len(raw)
             t_row = perf_counter_ns()
             try:
-                # line numbers are not emitted by this stage — skip tracking
-                arena = None
-                if self._chtml is not None:
-                    try:
-                        arena = self._chtml.parse_html_bytes_fast(raw)
-                    except ParseError:
-                        raise  # same error the Python parser would raise
-                    except Exception:
-                        arena = None  # kernel bug: Python is the authority
-                if arena is None:
-                    arena = parse_html_bytes(raw, track_lines=False)
+                arena = chtml.parse_page(raw)
                 titles[i] = _title_of(arena)
                 for name, ast in self.recipe.items():
                     try:
@@ -330,6 +310,7 @@ class ExtractPages:
             html_bytes[i] = len(raw)
             t_row = perf_counter_ns()
             try:
+                chtml.check_page_size(raw)
                 ok = bx.add(raw)
             except ParseError as exc:
                 status[i] = "error"

@@ -4,10 +4,11 @@ The webgraph is the other first-class product of a crawl besides the text:
 outlinks drive crawl frontier ranking, spam/SEO-farm detection, and
 PageRank-style quality priors for corpus curation.
 
-``ExtractLinks`` is an actor-pool ``map_batches`` stage (same shape as
-``ExtractPages``, reference precedent Sources/Actor.swift:278-405 — warm
-parser state per actor, value rows across the boundary): parse each page
-(C kernel with Python fallback), flat-scan the arena for anchor elements,
+``extract_links_dataset`` runs ``extract_links`` as Ray Data tasks (same
+shape as the extraction stage, reference precedent
+Sources/Actor.swift:278-405 — parser state private to one worker, value
+rows across the boundary): parse each page (``chtml.parse_page``: C
+kernel with Python fallback), flat-scan the arena for anchor elements,
 resolve hrefs against the page url (honoring ``<base href>``), and emit
 ROW-EXPANDING (src_url, dst_url, anchor, nofollow) rows — a streaming
 flat_map inside map_batches, no shuffle.
@@ -29,8 +30,8 @@ from urllib.parse import urljoin, urlsplit
 
 import pyarrow as pa
 
+from fuzi_rd.chtml import parse_page
 from fuzi_rd.dom import ELEMENT
-from fuzi_rd.html_parser import parse_html_bytes
 
 DEFAULT_MAX_LINKS = 1000
 _KEEP_SCHEMES = ("http", "https")
@@ -81,71 +82,47 @@ def _page_links(arena, base_url: str, max_links: int) -> list[tuple[str, str, bo
     return out
 
 
-class ExtractLinks:
-    """Callable class for ``ds.map_batches(ExtractLinks, concurrency=N,
-    batch_format="pyarrow")`` over (url, html) pages.  Emits one row per
-    kept anchor: (src_url, dst_url, anchor, nofollow)."""
-
-    def __init__(self, max_links_per_page: int = DEFAULT_MAX_LINKS):
-        self.max_links = max_links_per_page
+def extract_links(
+    batch: pa.Table, max_links_per_page: int = DEFAULT_MAX_LINKS
+) -> pa.Table:
+    """Task UDF over (url, html) pages.  Emits one row per kept anchor:
+    (src_url, dst_url, anchor, nofollow); a page that fails to parse has
+    no edges (poison-pill tolerance for a row-expanding stage)."""
+    src, dst, anchor, nofollow = [], [], [], []
+    for url, raw in zip(
+        batch.column("url").to_pylist(), batch.column("html").to_pylist()
+    ):
         try:
-            from fuzi_rd import chtml
-
-            self._chtml = chtml if chtml.available() else None
+            links = _page_links(parse_page(raw or b""), url, max_links_per_page)
         except Exception:
-            self._chtml = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        htmls = batch.column("html").to_pylist()
-        src, dst, anchor, nofollow = [], [], [], []
-        for url, raw in zip(urls, htmls):
-            raw = raw or b""
-            try:
-                arena = None
-                if self._chtml is not None:
-                    try:
-                        arena = self._chtml.parse_html_bytes_fast(raw)
-                    except Exception:
-                        arena = None  # Python parser is the authority
-                if arena is None:
-                    arena = parse_html_bytes(raw, track_lines=False)
-                links = _page_links(arena, url, self.max_links)
-            except Exception:
-                continue  # poison-pill tolerance: a broken page has no edges
-            for d, a, nf in links:
-                src.append(url)
-                dst.append(d)
-                anchor.append(a)
-                nofollow.append(nf)
-        return pa.table(
-            {
-                "src_url": pa.array(src, pa.string()),
-                "dst_url": pa.array(dst, pa.string()),
-                "anchor": pa.array(anchor, pa.large_string()),
-                "nofollow": pa.array(nofollow, pa.bool_()),
-            }
-        )
+            continue
+        for d, a, nf in links:
+            src.append(url)
+            dst.append(d)
+            anchor.append(a)
+            nofollow.append(nf)
+    return pa.table(
+        {
+            "src_url": pa.array(src, pa.string()),
+            "dst_url": pa.array(dst, pa.string()),
+            "anchor": pa.array(anchor, pa.large_string()),
+            "nofollow": pa.array(nofollow, pa.bool_()),
+        }
+    )
 
 
 def extract_links_dataset(
     pages_ds,
     max_links_per_page: int = DEFAULT_MAX_LINKS,
-    concurrency=None,
     batch_size: int = 256,
 ):
-    """Wire ExtractLinks onto a (url, html) Dataset (lazy)."""
-    import ray
-
-    if concurrency is None:
-        n_cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(1, int(n_cpus * 0.75))
+    """Wire :func:`extract_links` onto a (url, html) Dataset as Ray Data
+    tasks (lazy)."""
     return pages_ds.map_batches(
-        ExtractLinks,
-        fn_constructor_kwargs={"max_links_per_page": max_links_per_page},
+        extract_links,
+        fn_kwargs={"max_links_per_page": max_links_per_page},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 

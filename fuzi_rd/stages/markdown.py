@@ -8,8 +8,8 @@ models see document structure instead of a flattened blob.
 ``render_markdown`` is a deterministic, recursion-free renderer over the
 arena DOM (same arena the extractor and XPath engine use; reference
 text-content precedent Sources/Node.swift:126-131 — this stage is the
-structured sibling of ``stringValue``).  ``ConvertMarkdown`` wires it as
-an actor-pool ``map_batches`` stage with the poison-pill contract every
+structured sibling of ``stringValue``).  ``markdown_dataset`` runs it as
+Ray Data tasks (``convert_markdown``) with the poison-pill contract every
 other stage uses (per-row status, never raise).
 
 Scale notes (100 TB): one parse + one O(nodes) walk per page, output one
@@ -25,8 +25,8 @@ from urllib.parse import urljoin
 
 import pyarrow as pa
 
+from fuzi_rd.chtml import parse_page
 from fuzi_rd.dom import COMMENT, ELEMENT, PI, TEXT
-from fuzi_rd.html_parser import parse_html_bytes
 
 _WS = re.compile(r"\s+")
 
@@ -248,62 +248,43 @@ def render_markdown(arena, base_url: str = "") -> str:
     return md.strip()
 
 
-class ConvertMarkdown:
-    """Callable class for ``ds.map_batches(ConvertMarkdown, concurrency=N,
-    batch_format="pyarrow")`` over (url, html) pages.  One markdown row per
-    page; parse or render failure yields status='error' with empty text
-    (poison-pill contract shared with ExtractPages)."""
-
-    def __init__(self):
+def convert_markdown(batch: pa.Table) -> pa.Table:
+    """Task UDF over (url, html) pages: one markdown row per page.  A parse
+    or render failure yields status='error' with empty text (poison-pill
+    contract shared with ExtractPages)."""
+    urls = batch.column("url").to_pylist()
+    htmls = batch.column("html").to_pylist()
+    mds, lens, statuses = [], [], []
+    for url, raw in zip(urls, htmls):
         try:
-            from fuzi_rd import chtml
-
-            self._chtml = chtml if chtml.available() else None
+            md = render_markdown(parse_page(raw or b""), base_url=url or "")
+            status = "ok"
         except Exception:
-            self._chtml = None
+            md, status = "", "error"
+        mds.append(md)
+        lens.append(len(md))
+        statuses.append(status)
+    return pa.table(
+        {
+            "url": pa.array(urls, pa.string()),
+            "markdown": pa.array(mds, pa.large_string()),
+            "n_chars": pa.array(lens, pa.int64()),
+            "status": pa.array(statuses, pa.string()),
+        }
+    )
+
+
+class ConvertMarkdown:
+    """In-process form of :func:`convert_markdown`:
+    ``ConvertMarkdown()(batch)``."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        htmls = batch.column("html").to_pylist()
-        mds, lens, statuses = [], [], []
-        for url, raw in zip(urls, htmls):
-            raw = raw or b""
-            try:
-                arena = None
-                if self._chtml is not None:
-                    try:
-                        arena = self._chtml.parse_html_bytes_fast(raw)
-                    except Exception:
-                        arena = None
-                if arena is None:
-                    arena = parse_html_bytes(raw, track_lines=False)
-                md = render_markdown(arena, base_url=url or "")
-                status = "ok"
-            except Exception:
-                md, status = "", "error"
-            mds.append(md)
-            lens.append(len(md))
-            statuses.append(status)
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "markdown": pa.array(mds, pa.large_string()),
-                "n_chars": pa.array(lens, pa.int64()),
-                "status": pa.array(statuses, pa.string()),
-            }
-        )
+        return convert_markdown(batch)
 
 
-def markdown_dataset(pages_ds, concurrency=None, batch_size: int = 128):
-    """Wire ConvertMarkdown onto a (url, html) Dataset (lazy)."""
-    import ray
-
-    if concurrency is None:
-        n_cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(1, int(n_cpus * 0.75))
+def markdown_dataset(pages_ds, batch_size: int = 128):
+    """Wire :func:`convert_markdown` onto a (url, html) Dataset as Ray Data
+    tasks (lazy)."""
     return pages_ds.map_batches(
-        ConvertMarkdown,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        convert_markdown, batch_format="pyarrow", batch_size=batch_size
     )

@@ -8,15 +8,16 @@ without content comparison), robots meta gates what may enter a corpus,
 and og:/description fields are the page's self-description for search and
 curation UIs.
 
-``ExtractMetadata`` is an actor-pool ``map_batches`` stage with the same
-shape as ``ExtractPages``/``ExtractLinks`` (reference precedent
-Sources/Actor.swift:278-405 — warm parser state per actor, value rows
-across the boundary): one parse per page (C kernel with per-document
-Python fallback), then a single O(nodes) arena scan that stops at the end
-of ``<head>`` content for the common case (title/meta/link/og all live
-there; the scan continues past head only until every field is filled or
-the element budget runs out).  Output is one fixed-width-ish row per page
-— no row expansion, no shuffle anywhere in the stage.
+``extract_metadata_dataset`` runs ``extract_metadata`` as Ray Data tasks,
+the same shape as the extraction and links stages (reference precedent
+Sources/Actor.swift:278-405 — parser state private to one worker, value
+rows across the boundary): one parse per page (``chtml.parse_page``: C
+kernel with per-document Python fallback), then a single O(nodes) arena
+scan that stops at the end of ``<head>`` content for the common case
+(title/meta/link/og all live there; the scan continues past head only
+until every field is filled or the element budget runs out).  Output is
+one fixed-width-ish row per page — no row expansion, no shuffle anywhere
+in the stage.
 
 Scale notes (100 TB): per-page cost is the parse (shared when composed
 with extraction) + a bounded scan; all output columns are capped-length
@@ -29,15 +30,29 @@ from urllib.parse import urljoin
 
 import pyarrow as pa
 
+from fuzi_rd.chtml import parse_page
 from fuzi_rd.dom import ELEMENT
 from fuzi_rd.functions.dedup import hash_join
-from fuzi_rd.html_parser import parse_html_bytes
 
 _CAP = 500  # per-field character cap: metadata, not content
 _SCAN_BUDGET = 4000  # max elements examined per page
 
 # og: properties surfaced as dedicated columns (the high-traffic subset)
 _OG_FIELDS = ("og:title", "og:description", "og:image", "og:type")
+
+# a page's fields before its scan, and an error row's fields
+_NO_METADATA = {
+    "title": None,
+    "meta_description": None,
+    "canonical_url": None,
+    "lang": None,
+    "robots_noindex": False,
+    "robots_nofollow": False,
+    "og:title": None,
+    "og:description": None,
+    "og:image": None,
+    "og:type": None,
+}
 
 _SCHEMA = pa.schema(
     [
@@ -66,18 +81,7 @@ def _page_metadata(arena, url: str) -> dict:
     attrs = arena.attrs
     dead = arena.dead
 
-    out = {
-        "title": None,
-        "meta_description": None,
-        "canonical_url": None,
-        "lang": None,
-        "robots_noindex": False,
-        "robots_nofollow": False,
-        "og:title": None,
-        "og:description": None,
-        "og:image": None,
-        "og:type": None,
-    }
+    out = dict(_NO_METADATA)
     budget = min(len(types), _SCAN_BUDGET + 1)
     for nid in range(1, budget):
         if dead[nid] or types[nid] != ELEMENT:
@@ -116,84 +120,52 @@ def _page_metadata(arena, url: str) -> dict:
     return out
 
 
-class ExtractMetadata:
-    """Callable class for ``ds.map_batches(ExtractMetadata, concurrency=N,
-    batch_format="pyarrow")`` over (url, html) pages.  Emits exactly one
-    row per page (status='error' rows have null fields — same poison-pill
-    contract as ExtractPages)."""
-
-    def __init__(self):
+def extract_metadata(batch: pa.Table) -> pa.Table:
+    """Task UDF over (url, html) pages.  Emits exactly one row per page
+    (status='error' rows have null fields — same poison-pill contract as
+    ExtractPages)."""
+    urls = batch.column("url").to_pylist()
+    htmls = batch.column("html").to_pylist()
+    cols: dict[str, list] = {f.name: [] for f in _SCHEMA}
+    for url, raw in zip(urls, htmls):
         try:
-            from fuzi_rd import chtml
-
-            self._chtml = chtml if chtml.available() else None
+            m = _page_metadata(parse_page(raw or b""), url)
+            status = "ok"
         except Exception:
-            self._chtml = None
+            m = _NO_METADATA
+            status = "error"
+        cols["url"].append(url)
+        cols["title"].append(m["title"])
+        cols["meta_description"].append(m["meta_description"])
+        cols["canonical_url"].append(m["canonical_url"])
+        cols["lang"].append(m["lang"])
+        cols["robots_noindex"].append(m["robots_noindex"])
+        cols["robots_nofollow"].append(m["robots_nofollow"])
+        cols["og_title"].append(m["og:title"])
+        cols["og_description"].append(m["og:description"])
+        cols["og_image"].append(m["og:image"])
+        cols["og_type"].append(m["og:type"])
+        cols["status"].append(status)
+    return pa.table({f.name: pa.array(cols[f.name], f.type) for f in _SCHEMA})
+
+
+class ExtractMetadata:
+    """In-process form of :func:`extract_metadata`:
+    ``ExtractMetadata()(batch)``."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        htmls = batch.column("html").to_pylist()
-        cols: dict[str, list] = {f.name: [] for f in _SCHEMA}
-        for url, raw in zip(urls, htmls):
-            raw = raw or b""
-            try:
-                arena = None
-                if self._chtml is not None:
-                    try:
-                        arena = self._chtml.parse_html_bytes_fast(raw)
-                    except Exception:
-                        arena = None  # Python parser is the authority
-                if arena is None:
-                    arena = parse_html_bytes(raw, track_lines=False)
-                m = _page_metadata(arena, url)
-                status = "ok"
-            except Exception:
-                m = {
-                    "title": None,
-                    "meta_description": None,
-                    "canonical_url": None,
-                    "lang": None,
-                    "robots_noindex": False,
-                    "robots_nofollow": False,
-                    "og:title": None,
-                    "og:description": None,
-                    "og:image": None,
-                    "og:type": None,
-                }
-                status = "error"
-            cols["url"].append(url)
-            cols["title"].append(m["title"])
-            cols["meta_description"].append(m["meta_description"])
-            cols["canonical_url"].append(m["canonical_url"])
-            cols["lang"].append(m["lang"])
-            cols["robots_noindex"].append(m["robots_noindex"])
-            cols["robots_nofollow"].append(m["robots_nofollow"])
-            cols["og_title"].append(m["og:title"])
-            cols["og_description"].append(m["og:description"])
-            cols["og_image"].append(m["og:image"])
-            cols["og_type"].append(m["og:type"])
-            cols["status"].append(status)
-        return pa.table(
-            {f.name: pa.array(cols[f.name], f.type) for f in _SCHEMA}
-        )
+        return extract_metadata(batch)
 
 
-def extract_metadata_dataset(pages_ds, concurrency=None, batch_size: int = 256):
-    """Wire ExtractMetadata onto a (url, html) Dataset (lazy)."""
-    import ray
-
-    if concurrency is None:
-        n_cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(1, int(n_cpus * 0.75))
+def extract_metadata_dataset(pages_ds, batch_size: int = 256):
+    """Wire :func:`extract_metadata` onto a (url, html) Dataset as Ray Data
+    tasks (lazy)."""
     return pages_ds.map_batches(
-        ExtractMetadata,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        extract_metadata, batch_format="pyarrow", batch_size=batch_size
     )
 
 
-def canonical_dedup_keep(pages_ds, meta_ds=None, concurrency=None):
+def canonical_dedup_keep(pages_ds, meta_ds=None):
     """URL-level mirror dedup: keep ONE page per canonical URL (the
     lexicographically smallest url wins, deterministic) — catches exact
     mirrors BEFORE content hashing, using only head metadata.
@@ -206,7 +178,7 @@ def canonical_dedup_keep(pages_ds, meta_ds=None, concurrency=None):
     import pyarrow.compute as pc
 
     if meta_ds is None:
-        meta_ds = extract_metadata_dataset(pages_ds, concurrency=concurrency)
+        meta_ds = extract_metadata_dataset(pages_ds)
 
     def key_rows(batch: pa.Table) -> pa.Table:
         url = batch.column("url")

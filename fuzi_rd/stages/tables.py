@@ -7,15 +7,15 @@ infoboxes/specs/financial tables, QA-pair generators) want cells with
 their (table, row, column) coordinates — not a text blob where the
 extractor's whitespace collapse destroyed the grid.
 
-``ExtractTables`` is an actor-pool ``map_batches`` stage with the same
-shape as ``ExtractPages``/``ExtractLinks``/``ExtractMetadata`` (reference
-precedent Sources/Actor.swift:278-405 — warm parser state per actor,
-value rows across the boundary): one parse per page (C kernel with
-per-document Python fallback), then one O(nodes) preorder scan using the
-arena's ``subtree_end`` ranges.  Output is row-expanding — one row per
-CELL — with hard caps on tables/page, rows/table, cells/row and chars/
-cell, so a pathological page (a million-row scraped grid) cannot blow up
-a block.
+``extract_tables_dataset`` runs ``extract_tables`` as Ray Data tasks, the
+same shape as the extraction, links and metadata stages (reference
+precedent Sources/Actor.swift:278-405 — parser state private to one
+worker, value rows across the boundary): one parse per page
+(``chtml.parse_page``: C kernel with per-document Python fallback), then
+one O(nodes) preorder scan using the arena's ``subtree_end`` ranges.
+Output is row-expanding — one row per CELL — with hard caps on
+tables/page, rows/table, cells/row and chars/cell, so a pathological page
+(a million-row scraped grid) cannot blow up a block.
 
 Nested tables: each ``<table>`` element gets its own ``table_idx`` in
 document order; a nested table's cells belong to the INNER table only
@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from fuzi_rd.chtml import parse_page
 from fuzi_rd.dom import ELEMENT
-from fuzi_rd.html_parser import parse_html_bytes
 
 MAX_TABLES_PER_PAGE = 50
 MAX_ROWS_PER_TABLE = 1000
@@ -125,52 +125,25 @@ def _page_tables(arena, url: str, out: dict) -> None:
             i += 1
 
 
-class ExtractTables:
-    """Callable class for ``ds.map_batches(ExtractTables, concurrency=N,
-    batch_format="pyarrow")`` over (url, html) pages.  Row-expanding: one
-    row per table cell; pages that fail to parse (or have no tables)
-    contribute zero rows — the poison-pill contract for row-expanding
-    stages (same as ExtractLinks)."""
-
-    def __init__(self):
+def extract_tables(batch: pa.Table) -> pa.Table:
+    """Task UDF over (url, html) pages.  Row-expanding: one row per table
+    cell; pages that fail to parse (or have no tables) contribute zero
+    rows — the poison-pill contract for row-expanding stages (same as
+    ``extract_links``)."""
+    out: dict[str, list] = {f.name: [] for f in _SCHEMA}
+    for url, raw in zip(
+        batch.column("url").to_pylist(), batch.column("html").to_pylist()
+    ):
         try:
-            from fuzi_rd import chtml
-
-            self._chtml = chtml if chtml.available() else None
+            _page_tables(parse_page(raw or b""), url, out)
         except Exception:
-            self._chtml = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out: dict[str, list] = {f.name: [] for f in _SCHEMA}
-        for url, raw in zip(
-            batch.column("url").to_pylist(), batch.column("html").to_pylist()
-        ):
-            raw = raw or b""
-            try:
-                arena = None
-                if self._chtml is not None:
-                    try:
-                        arena = self._chtml.parse_html_bytes_fast(raw)
-                    except Exception:
-                        arena = None  # Python parser is the authority
-                if arena is None:
-                    arena = parse_html_bytes(raw, track_lines=False)
-                _page_tables(arena, url, out)
-            except Exception:
-                continue
-        return pa.table({f.name: pa.array(out[f.name], f.type) for f in _SCHEMA})
+            continue
+    return pa.table({f.name: pa.array(out[f.name], f.type) for f in _SCHEMA})
 
 
-def extract_tables_dataset(pages_ds, concurrency=None, batch_size: int = 256):
-    """Wire ExtractTables onto a (url, html) Dataset (lazy)."""
-    import ray
-
-    if concurrency is None:
-        n_cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(1, int(n_cpus * 0.75))
+def extract_tables_dataset(pages_ds, batch_size: int = 256):
+    """Wire :func:`extract_tables` onto a (url, html) Dataset as Ray Data
+    tasks (lazy)."""
     return pages_ds.map_batches(
-        ExtractTables,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        extract_tables, batch_format="pyarrow", batch_size=batch_size
     )

@@ -10,12 +10,16 @@ Layout (next to the partitioned Parquet output):
     out/_manifests/part-<k>.json     written AFTER the data (atomic rename)
 
 A partition is complete iff its manifest exists.  On restart the driver
-scans `_manifests/`, prunes completed partitions from the *input* (cheap:
-the partition id is a pure function of url), recomputes only the missing
-ones and writes their manifests.  Manifest content:
+scans `_manifests/`, deletes the data of parts without one
+(``clean_incomplete``), prunes completed partitions from the *input*
+(cheap: the partition id is a pure function of url), recomputes only the
+missing ones and writes their manifests.  ``write_parts`` is the one
+partitioned writer of the extraction and corpus jobs.  Manifest content
+(extraction; a corpus manifest has run_id, part, rows, bytes_out and
+text_checksum):
 
     {run_id, part, rows, ok_rows, error_rows, bytes_in, bytes_out,
-     text_checksum}
+     parse_us_sum, text_checksum}
 
 `text_checksum` is the sum of per-row crc32(extracted_text) mod 2^63 —
 order-independent, so it is stable across block orderings and can be
@@ -24,9 +28,16 @@ re-aggregated from the output alone.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
+import shutil
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 
 def manifest_dir(out_dir: str) -> pathlib.Path:
@@ -90,3 +101,106 @@ def rollup(out_dir: str) -> dict:
         ):
             total[k] += m.get(k, 0)
     return total
+
+
+def clean_incomplete(out_dir: str, completed: set[int]) -> None:
+    """Delete data directories of partitions that have no manifest: they are
+    from a crashed run and will be recomputed (prevents duplicate rows)."""
+    out = pathlib.Path(out_dir)
+    if not out.is_dir():
+        return
+    for d in out.glob("part=*"):
+        try:
+            part = int(d.name.split("=", 1)[1])
+        except ValueError:
+            continue
+        if part not in completed:
+            shutil.rmtree(d, ignore_errors=True)
+
+
+def _part_writer(out_dir: str, sums: dict[str, str]):
+    """Writer task: split one batch by url-hash part, append one parquet
+    file per (task, part) with a deterministic content-hash name (retries
+    rewrite the same file — idempotent), return tiny per-part stat rows:
+    ``rows``, ``ok_rows``/``error_rows`` when the batch has a ``status``
+    column, the sum of column ``sums[k]`` as ``k``, and ``text_checksum``.
+
+    The per-row ``text_hash`` checksum is summed, so per-part checksums are
+    order- and file-layout-independent: resumed or differently-batched runs
+    produce identical manifests for identical extracted text."""
+
+    def write_block(batch: pa.Table) -> pa.Table:
+        # one sort + zero-copy slices per part (vs a full filter pass per
+        # part, which costs O(parts x rows))
+        batch = batch.combine_chunks().sort_by("part")
+        counted = "status" in batch.column_names
+        stats: dict[str, list] = {"part": [], "rows": []}
+        if counted:
+            stats.update(ok_rows=[], error_rows=[])
+        stats.update({k: [] for k in sums})
+        stats["text_checksum"] = []
+        uniq, starts = np.unique(batch.column("part").to_numpy(), return_index=True)
+        bounds = list(starts) + [len(batch)]
+        for j, part in enumerate(uniq.tolist()):
+            sub = batch.slice(bounds[j], bounds[j + 1] - bounds[j])
+            # 64-bit content hash of the url list: deterministic per batch
+            # (task retries rewrite the same file) with enough entropy that
+            # two different writer tasks appending to the same part can't
+            # collide and silently overwrite each other (crc32 + row count
+            # was a 32-bit space).
+            token = hashlib.blake2b(
+                "\x00".join(sub.column("url").to_pylist()).encode(),
+                digest_size=8,
+            ).hexdigest()
+            pdir = pathlib.Path(out_dir) / f"part={part}"
+            pdir.mkdir(parents=True, exist_ok=True)
+            pq.write_table(
+                sub.drop_columns(["part"]),
+                pdir / f"data-{token}-{len(sub)}.parquet",
+                compression="zstd",
+            )
+            stats["part"].append(part)
+            stats["rows"].append(len(sub))
+            if counted:
+                ok = pc.sum(
+                    pc.cast(pc.equal(sub.column("status"), "ok"), pa.int64())
+                ).as_py() or 0
+                stats["ok_rows"].append(ok)
+                stats["error_rows"].append(len(sub) - ok)
+            for k, col in sums.items():
+                stats[k].append(pc.sum(sub.column(col)).as_py() or 0)
+            stats["text_checksum"].append(
+                (pc.sum(sub.column("text_hash")).as_py() or 0) % (2**63)
+            )
+        return pa.table(
+            {
+                k: pa.array(v, pa.int32() if k == "part" else pa.int64())
+                for k, v in stats.items()
+            }
+        )
+
+    return write_block
+
+
+def write_parts(ds, out_dir: str, run_id: str, batch_size: int, sums: dict[str, str]):
+    """Shuffle-free partitioned write + per-part manifests.
+
+    Writer tasks split each batch by the url-hash ``part`` column (see
+    ``_part_writer``); only their tiny per-(task, part) stat rows reach the
+    driver, which sums them per part and commits one manifest per part
+    holding ``run_id`` and those sums.  The extracted text itself never
+    crosses an all-to-all exchange.  Returns the stats Dataset (its Ray
+    Data stats feed the run metrics)."""
+    pathlib.Path(out_dir).mkdir(parents=True, exist_ok=True)
+    stats_ds = ds.map_batches(
+        _part_writer(out_dir, sums), batch_size=batch_size, batch_format="pyarrow"
+    )
+    agg: dict[int, dict] = {}
+    for row in stats_ds.take_all():  # O(tasks x parts-per-task) tiny rows
+        a = agg.setdefault(row.pop("part"), {"run_id": run_id})
+        for k, v in row.items():
+            a[k] = a.get(k, 0) + v
+    for part, stats in agg.items():
+        stats["text_checksum"] %= 2**63
+        write_manifest(out_dir, part, stats)
+    return stats_ds

@@ -144,3 +144,59 @@ def test_fuzz_random_bytes_no_divergence():
         size = rng2.randint(0, 200)
         data = bytes(rng2.randrange(256) for _ in range(size))
         _assert_equiv(data, f"rawfuzz[{trial}]")
+
+
+def _html_stages():
+    from fuzi_rd.stages.extractor import ExtractPages
+    from fuzi_rd.stages.links import extract_links
+    from fuzi_rd.stages.markdown import convert_markdown
+    from fuzi_rd.stages.metadata import extract_metadata
+    from fuzi_rd.stages.tables import extract_tables
+
+    def extract(batch):
+        # the fused products force the per-row path, which parses with
+        # parse_page; parse_us is a timing, not output
+        ep = ExtractPages(emit_markdown=True, emit_metadata=True, emit_links=True)
+        return ep(batch).drop_columns(["parse_us"])
+
+    return {
+        "extract_pages": extract,
+        "markdown": convert_markdown,
+        "metadata": extract_metadata,
+        "links": extract_links,
+        "tables": extract_tables,
+    }
+
+
+@pytest.mark.parametrize(
+    "stage", ["extract_pages", "markdown", "metadata", "links", "tables"]
+)
+def test_kernel_exception_falls_back_to_python(monkeypatch, stage):
+    """A kernel that raises anything but ParseError leaves each HTML page
+    stage's output equal to its output with the kernel off."""
+    import pyarrow as pa
+
+    from fuzi_rd.sources.pages import pages_table
+
+    pages = pages_table(30).select(["url", "html"])
+    corners = [(FIXTURES / "web.html").read_bytes()] + ADVERSARIAL + [b"", None]
+    batch = pa.concat_tables([
+        pages,
+        pa.table({
+            "url": pa.array([f"https://x.test/c{i}" for i in range(len(corners))]),
+            "html": pa.array(corners, pages.schema.field("html").type),
+        }),
+    ])
+    run = _html_stages()[stage]
+    calls = []
+
+    def kernel_bug(*args, **kwargs):
+        calls.append(1)
+        raise RuntimeError("kernel bug")
+
+    monkeypatch.setattr(chtml, "parse_html_bytes_fast", kernel_bug)
+    raised = run(batch)
+    assert calls, "the kernel was never tried"
+    monkeypatch.setattr(chtml, "available", lambda: False)
+    assert raised.equals(run(batch))
+    assert raised.num_rows > 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from fuzi_rd.html_parser import parse_html_bytes
-from fuzi_rd.stages.links import ExtractLinks, _page_links, link_graph
+from fuzi_rd.stages.links import _page_links, extract_links_dataset, link_graph
 
 
 def _links(html: str, url: str = "http://ex.com/dir/page", max_links: int = 1000):
@@ -95,16 +95,13 @@ def test_extract_links_stage_and_graph(ray_session):
         }
     )
     ds = ray.data.from_arrow(pages)
-    links = ds.map_batches(ExtractLinks, batch_format="pyarrow", concurrency=1)
-    rows = links.take_all()
+    rows = extract_links_dataset(ds).take_all()
     # nofollow edge present in the edge list, flagged
     assert any(r["nofollow"] for r in rows)
     # poison page contributed no edges but didn't fail the block
     assert all(r["src_url"] != "http://broken.com/x" for r in rows)
 
-    graph = link_graph(
-        ds.map_batches(ExtractLinks, batch_format="pyarrow", concurrency=1)
-    ).take_all()
+    graph = link_graph(extract_links_dataset(ds)).take_all()
     edges = {(r["src_domain"], r["dst_domain"]): r["count()"] for r in graph}
     # self-loops (a.com->a.com, sub.b.co.uk->b.co.uk is NOT a self loop at
     # domain level? sub.b.co.uk registers as b.co.uk -> /local IS dropped
@@ -120,7 +117,7 @@ def test_extract_links_stage_and_graph(ray_session):
 def test_anchor_text_rollup(ray_session):
     import ray
 
-    from fuzi_rd.stages.links import ExtractLinks, anchor_text_rollup
+    from fuzi_rd.stages.links import anchor_text_rollup
 
     def page(links):
         body = "".join(f'<a href="{h}">{a}</a>' for h, a in links)
@@ -142,7 +139,7 @@ def test_anchor_text_rollup(ray_session):
         }
     )
     ds = ray.data.from_arrow(rows)
-    links = ds.map_batches(ExtractLinks, batch_format="pyarrow", concurrency=1)
+    links = extract_links_dataset(ds)
     out = {
         (r["dst_domain"], r["anchor"]): r["n_links"]
         for r in anchor_text_rollup(links, min_count=2).take_all()
@@ -163,7 +160,7 @@ def _op_names(ds) -> list[str]:
 
 def test_fused_emit_links_identity(ray_session, tmp_path_factory):
     """ExtractPages(emit_links=True) emits, from the ONE extraction parse,
-    the exact edge rows the standalone ExtractLinks stage produces —
+    the exact edge rows the standalone extract_links stage produces —
     recovered via links_from_extracted with no second HTML parse."""
     import ray
 
@@ -192,7 +189,7 @@ def test_fused_emit_links_identity(ray_session, tmp_path_factory):
 def test_fused_corpus_webgraph_single_parse_plan(ray_session, tmp_path_factory):
     """Plan-shape pin for the fused corpus+webgraph job: deriving the edge
     list from the emit_links column adds NO parser stage — the whole lazy
-    plan contains exactly one extraction operator and no ExtractLinks."""
+    plan contains exactly one extraction operator and no extract_links."""
     import ray
 
     from fuzi_rd.pipelines.extraction import extract_dataset
@@ -208,6 +205,6 @@ def test_fused_corpus_webgraph_single_parse_plan(ray_session, tmp_path_factory):
 
     names = _op_names(graph)
     assert sum("extract_pages" in n for n in names) == 1, names
-    assert not any("ExtractLinks" in n for n in names), names
+    assert not any("extract_links" in n for n in names), names
     # and the fused plan actually produces the webgraph
     assert graph.take_all()

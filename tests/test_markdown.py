@@ -98,14 +98,13 @@ def test_convert_markdown_stage_poison_pill(ray_session):
             ),
         }
     )
-    out = markdown_dataset(
-        ray.data.from_arrow(pages), concurrency=1
-    ).take_all()
+    out = markdown_dataset(ray.data.from_arrow(pages)).take_all()
     rows = {r["url"]: r for r in out}
     assert rows["http://a"]["markdown"] == "# ok"
     assert rows["http://a"]["status"] == "ok"
-    # empty bytes parse to an empty doc -> empty markdown, still ok
+    # a missing page is empty input, which does not parse: an error row
     assert rows["http://b"]["markdown"] == ""
+    assert rows["http://b"]["status"] == "error"
 
 
 def test_stage_matches_pure_renderer(ray_session):

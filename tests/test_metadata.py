@@ -5,7 +5,11 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from fuzi_rd.stages.metadata import ExtractMetadata, canonical_dedup_keep
+from fuzi_rd.stages.metadata import (
+    ExtractMetadata,
+    canonical_dedup_keep,
+    extract_metadata_dataset,
+)
 
 
 def _pages(rows) -> pa.Table:
@@ -95,8 +99,7 @@ def test_meta_pages_fixture_round_trip(ray_session):
     ds = ray.data.from_arrow(tbl.select(["url", "html"]))
     out = {
         r["url"]: r
-        for r in ds.map_batches(ExtractMetadata, batch_format="pyarrow", concurrency=1)
-        .take_all()
+        for r in extract_metadata_dataset(ds).take_all()
     }
     assert len(out) == 24
     r0 = out["https://fixtures.test/meta/00000000"]

@@ -208,7 +208,7 @@ def test_extract_pdfs_stage(ray_session):
     ds = ray.data.from_arrow(docs).map_batches(
         pdfs_from_documents_batch, batch_format="pyarrow"
     )
-    out = extract_pdfs_dataset(ds, concurrency=2).to_arrow_refs()
+    out = extract_pdfs_dataset(ds).to_arrow_refs()
     tbl = pa.concat_tables([ray.get(r) for r in out])
     assert tbl.num_rows == 50
     by_id = dict(zip(tbl.column("doc_id").to_pylist(), tbl.column("pdf_text").to_pylist()))
@@ -234,7 +234,7 @@ def test_extract_pdfs_poison_pill(ray_session):
             ),
         }
     )
-    out = extract_pdfs_dataset(ray.data.from_arrow(rows), concurrency=1)
+    out = extract_pdfs_dataset(ray.data.from_arrow(rows))
     tbl = pa.concat_tables([ray.get(r) for r in out.to_arrow_refs()])
     by_id = {r["doc_id"]: r for r in tbl.to_pylist()}
     assert by_id[1]["status"] == "ok" and by_id[1]["pdf_text"] == "good"
@@ -339,9 +339,7 @@ def test_layout_stage_over_dataset(ray_session):
             ),
         }
     )
-    out = pdf_layout_dataset(
-        ray.data.from_arrow(tbl), batch_size=2, concurrency=1
-    ).take_all()
+    out = pdf_layout_dataset(ray.data.from_arrow(tbl), batch_size=2).take_all()
     ids = sorted({r["doc_id"] for r in out})
     assert ids == [1, 3]  # malformed doc 2 contributes zero rows
     d1 = "\n".join(

@@ -128,13 +128,18 @@ def test_resume_recomputes_only_missing(ray_session, extracted, tmp_path):
     assert len(mf.read_manifests(crash)) == NUM_PARTS
 
 
-def test_skew_routing_branch(ray_session, tmp_path):
-    """Oversized pages go down the batch_size=1 branch; results identical."""
+def test_page_byte_cap(ray_session, tmp_path, monkeypatch):
+    """A multi-megabyte page extracts ok through the normal path.  A page
+    over the per-page byte cap becomes an error row without a parse, on
+    the batched fast path and the per-row Python path alike, and its
+    batch-mates are unaffected."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray
 
+    from fuzi_rd import chtml
     from fuzi_rd.pipelines.extraction import extract_dataset
+    from fuzi_rd.stages.extractor import ExtractPages
 
     big_body = b"<p>" + b"huge page content word " * 20000 + b"</p>"
     tbl = pa.table(
@@ -148,16 +153,23 @@ def test_skew_routing_branch(ray_session, tmp_path):
             + [b"<html><body>" + big_body + b"</body></html>"],
         }
     )
-    p = tmp_path / "skew.parquet"
+    p = tmp_path / "huge.parquet"
     pq.write_table(tbl, p)
     ds = ray.data.read_parquet(str(p))
-    rows = {
-        r["url"]: r
-        for r in extract_dataset(ds, skew_threshold=10_000).take_all()
-    }
+    rows = {r["url"]: r for r in extract_dataset(ds).take_all()}
     assert len(rows) == 11
     assert rows["https://x.test/huge"]["status"] == "ok"
     assert rows["https://x.test/huge"]["text_len"] > 100_000
+
+    monkeypatch.setattr(chtml, "MAX_PAGE_BYTES", 100_000)
+    for stage in (ExtractPages(), ExtractPages(recipe={"h1": "css: h1"})):
+        capped = {r["url"]: r for r in stage(tbl).to_pylist()}
+        huge = capped.pop("https://x.test/huge")
+        assert huge["status"] == "error" and "cap" in huge["error"]
+        assert huge["n_nodes"] == 0 and huge["extracted_text"] == ""
+        for url, r in capped.items():
+            assert r["status"] == "ok"
+            assert r["extracted_text"] == rows[url]["extracted_text"]
 
 
 def test_error_rows_do_not_poison(ray_session, tmp_path):
@@ -230,18 +242,33 @@ import ray
 
 ray.init(address="local", num_cpus=1, include_dashboard=False)
 from fuzi_rd.pipelines.extraction import run_extraction
+from fuzi_rd.stages.links import extract_links_dataset
+from fuzi_rd.stages.markdown import markdown_dataset
 
-run_extraction(sys.argv[1], sys.argv[2], num_parts=16, resume=False)
+stage, pages, out = sys.argv[1:]
+if stage == "run_extraction":
+    rows = run_extraction(pages, out, num_parts=16, resume=False)["rows"]
+else:
+    stage_fn = {
+        "markdown_dataset": markdown_dataset,
+        "extract_links_dataset": extract_links_dataset,
+    }[stage]
+    rows = stage_fn(ray.data.read_parquet(pages, columns=["url", "html"])).count()
+print("stage_rows", rows, flush=True)
 ray.shutdown()
 """
 
 
-def test_one_cpu_session_does_not_hang(tmp_path):
-    """A Ray session with one logical CPU must finish the job: a fixed
-    extraction actor pool once took the only CPU, so the read tasks never
-    ran.  The job runs in a child process so a hang cannot wedge this one."""
+@pytest.mark.parametrize(
+    "stage", ["run_extraction", "markdown_dataset", "extract_links_dataset"]
+)
+def test_one_cpu_session_does_not_hang(tmp_path, stage):
+    """A Ray session with one logical CPU must finish each page stage: a
+    fixed actor pool once took the only CPU, so the read tasks never ran.
+    The job runs in a child process so a hang cannot wedge this one."""
     import os
     import pathlib
+    import re
     import signal
     import subprocess
     import sys
@@ -253,7 +280,7 @@ def test_one_cpu_session_does_not_hang(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     with open(tmp_path / "child.log", "w+") as log:
         child = subprocess.Popen(
-            [sys.executable, "-c", _ONE_CPU_JOB, str(pages), str(out)],
+            [sys.executable, "-c", _ONE_CPU_JOB, stage, str(pages), str(out)],
             cwd=root, env=env, stdout=log, stderr=subprocess.STDOUT,
             start_new_session=True,
         )
@@ -262,10 +289,17 @@ def test_one_cpu_session_does_not_hang(tmp_path):
         except subprocess.TimeoutExpired:
             os.killpg(child.pid, signal.SIGKILL)
             child.wait()
-            pytest.fail("run_extraction with 1 logical CPU ran past 180 s")
+            pytest.fail(f"{stage} with 1 logical CPU ran past 180 s")
         log.seek(0)
-        assert child.returncode == 0, log.read()[-2000:]
-    assert sum(m["rows"] for m in mf.read_manifests(str(out))) == 2000
+        output = log.read()
+        assert child.returncode == 0, output[-2000:]
+    rows = int(re.search(r"stage_rows (\d+)", output).group(1))
+    if stage == "extract_links_dataset":
+        assert rows > 2000  # row-expanding: several outlinks per page
+    else:
+        assert rows == 2000
+    if stage == "run_extraction":
+        assert sum(m["rows"] for m in mf.read_manifests(str(out))) == 2000
 
 
 def test_page_generator_frozen():

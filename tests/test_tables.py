@@ -5,7 +5,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from fuzi_rd.html_parser import parse_html_bytes
-from fuzi_rd.stages.tables import _SCHEMA, ExtractTables, _page_tables
+from fuzi_rd.stages.tables import _SCHEMA, _page_tables
 
 
 def _cells(html: bytes, url: str = "u"):
@@ -108,9 +108,7 @@ def test_actor_stage_over_dataset(ray_session):
             ),
         }
     )
-    out = extract_tables_dataset(
-        ray.data.from_arrow(pages), concurrency=1, batch_size=2
-    ).take_all()
+    out = extract_tables_dataset(ray.data.from_arrow(pages), batch_size=2).take_all()
     assert [(r["url"], r["col_idx"], r["text"]) for r in out] == [
         ("a", 0, "x"),
         ("a", 1, "y"),
