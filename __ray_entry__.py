@@ -217,7 +217,7 @@ def _q_distinct_tokens(sf_dir: str):
 def _q_tfidf_topk(sf_dir: str):
     """Top-5 TF-IDF terms per document: document frequencies fit via the
     token_df combiner, idf map broadcast once via ray.put, per-doc scoring
-    and ranking local to an actor pool (at most k rows per doc emitted).
+    and ranking local to each task (at most k rows per doc emitted).
     Integer milli-nat scores make ranking and oracle exact."""
     from fuzi_rd.functions.vocab import tfidf_topk
 
@@ -1645,26 +1645,20 @@ def _q_feeds_xpath(sf_dir: str):
     registered prefixes, Sources/Document.swift:162-175)."""
     import ray
 
-    from fuzi_rd.stages.xml_query import QueryXml, synth_feed_table
+    from fuzi_rd.stages.xml_query import query_xml_dataset, synth_feed_table
 
-    ds = ray.data.from_arrow(synth_feed_table(300))
-    return ds.map_batches(
-        QueryXml,
-        fn_constructor_kwargs={
-            "recipe": {
-                "feed_title": "/a:feed/a:title",
-                "entry_titles": "//a:entry/a:title",
-                "n_entries": "count(//a:entry)",
-                "first_creator": "string(//dc:creator)",
-            },
-            "prefixes": {
-                "a": "http://www.w3.org/2005/Atom",
-                "dc": "http://purl.org/dc/elements/1.1/",
-            },
+    return query_xml_dataset(
+        ray.data.from_arrow(synth_feed_table(300)),
+        recipe={
+            "feed_title": "/a:feed/a:title",
+            "entry_titles": "//a:entry/a:title",
+            "n_entries": "count(//a:entry)",
+            "first_creator": "string(//dc:creator)",
         },
-        batch_size=64,
-        batch_format="pyarrow",
-        concurrency=(1, 4),
+        prefixes={
+            "a": "http://www.w3.org/2005/Atom",
+            "dc": "http://purl.org/dc/elements/1.1/",
+        },
     )
 
 
@@ -1980,7 +1974,7 @@ def _q_media_decode(sf_dir: str):
 
     ds = ray.data.from_arrow(synth_media_table(200))
     return ds.map_batches(
-        DecodeImage, batch_size=8, batch_format="pyarrow", concurrency=(1, 2)
+        DecodeImage(), batch_size=8, batch_format="pyarrow"
     )
 
 
@@ -1991,7 +1985,7 @@ def _q_media_features(sf_dir: str):
 
     ds = ray.data.from_arrow(synth_media_table(200))
     return ds.map_batches(
-        ExtractFeatures, batch_size=8, batch_format="pyarrow", concurrency=(1, 2)
+        ExtractFeatures(), batch_size=8, batch_format="pyarrow"
     )
 
 
@@ -2002,7 +1996,7 @@ def _q_media_resize(sf_dir: str):
 
     ds = ray.data.from_arrow(synth_media_table(200))
     return ds.map_batches(
-        ResizeImage, batch_size=8, batch_format="pyarrow", concurrency=(1, 2)
+        ResizeImage(), batch_size=8, batch_format="pyarrow"
     )
 
 
@@ -2014,7 +2008,7 @@ def _q_media_frames(sf_dir: str):
 
     ds = ray.data.from_arrow(synth_media_table(200))
     return ds.map_batches(
-        SampleFrames, batch_size=8, batch_format="pyarrow", concurrency=(1, 2)
+        SampleFrames(), batch_size=8, batch_format="pyarrow"
     )
 
 
@@ -2256,7 +2250,7 @@ def _q_unigram_lm(sf_dir: str):
     """Corpus-fit unigram LM surprisal per document (CCNet-style quality
     signal) — two-stage broadcast pattern: partial counts + small groupby
     fit the model, then the vocabulary ships through the object store ONCE
-    and an actor pool scores batches locally.  Integer milli-nat fixed
+    and scoring tasks score batches locally.  Integer milli-nat fixed
     point keeps the DuckDB oracle exact."""
     from fuzi_rd.functions.lm_score import unigram_logprob
 
@@ -2271,7 +2265,7 @@ def _q_bigram_lm(sf_dir: str):
     """Add-one-smoothed corpus bigram surprisal per document — the fluency
     signal one order above unigram_lm (word-order-degenerate text scores
     high here while passing unigram).  Two broadcast fits (unigram +
-    bigram combiners, small key groupbys) then one actor-pool scoring
+    bigram combiners, small key groupbys) then one task scoring
     pass; integer milli-nats keep the DuckDB oracle exact."""
     from fuzi_rd.functions.lm_score import bigram_logprob
 
@@ -2603,7 +2597,7 @@ def _q_dsir_weights(sf_dir: str):
     how target-like its hashed unigram+bigram profile is, with the
     English-language subset as the target distribution.  The hashing
     trick bounds BOTH fits to one 8192-entry int64 array regardless of
-    corpus size — broadcast once, actor-pool scoring, no unbounded
+    corpus size — broadcast once, task scoring, no unbounded
     driver state and no top_k needed.  Buckets follow DuckDB
     md5_number_lower % B exactly, so the oracle is bit-exact."""
     from fuzi_rd.functions.lm_score import dsir_weights
@@ -2869,7 +2863,7 @@ def _q_logodds_score(sf_dir: str):
     """Two-class token log-odds quality classifier (fastText-linear shape):
     fit per-token milli log-odds weights from a bool-labeled corpus
     (per-batch count combiners -> one vocabulary groupby), broadcast the
-    weights ONCE via ray.put, score with an actor pool.  Seed labels here
+    weights ONCE via ray.put, score with tasks.  Seed labels here
     are the deterministic doc_id % 7 != 0 split (a stand-in for a curated
     seed set); integer-milli fixed point keeps the DuckDB oracle exact."""
     import pyarrow as pa
@@ -2906,7 +2900,7 @@ def _q_decontam_keep(sf_dir: str):
     the benchmark corpus (deterministic doc_id % 29 == 0 subset, a stand-in
     for a real eval set) are dropped.  The benchmark reduces to a bounded
     128-bit double-fingerprint array broadcast once; the corpus streams
-    through a vectorized probe actor pool — no shuffle touches text."""
+    through vectorized probe tasks — no shuffle touches text."""
     import pyarrow as pa
 
     from fuzi_rd.functions.decontam import decontam_keep

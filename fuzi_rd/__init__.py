@@ -15,7 +15,8 @@ Layout:
   doc.py          Document/Element facade         (reference Document/Element/Node.swift)
   serialize.py    raw XML/HTML subtree dump       (reference Node.swift:134-144)
   extract.py      boilerplate-strip heuristics    (north-star payload, not in reference)
-  stages/         Ray Data map_batches stages (actor pools)
+  broadcast.py    per-process broadcast state for task UDFs
+  stages/         Ray Data map_batches stages (task UDFs)
   sources/        deterministic page-table fixture generators
   functions/      text stats, dedup, similarity-search batch functions
   pipelines/      end-to-end Ray Data pipelines (read -> extract -> write)

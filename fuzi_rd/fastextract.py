@@ -75,7 +75,7 @@ class BatchExtractor:
 
     `add` raises ParseError exactly like the Python parser (empty input /
     no root); the caller turns that into an error row as before.  Reusable
-    across batches (buffers persist per actor)."""
+    across batches (buffers persist per worker process)."""
 
     def __init__(self, node_cap: int = 1 << 16, piece_cap: int = 1 << 16):
         self._alloc(node_cap, piece_cap, 1 << 14)

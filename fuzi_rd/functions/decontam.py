@@ -14,7 +14,7 @@ benchmarks are thousands of documents, not billions):
      polynomial hashes as `spans.duplicate_spans`) — a bounded array,
      guarded by ``max_bench_windows``;
   2. that array ships to the object store ONCE via ``ray.put``;
-  3. a probe actor pool streams the training corpus: each batch's window
+  3. probe tasks stream the training corpus: each batch's window
      fingerprints are tested with a vectorized ``np.isin`` prefilter on
      the first 64-bit hash, and only the (rare) prefilter hits are
      pair-verified against the second hash — per-batch work is O(windows)
@@ -35,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from fuzi_rd.broadcast import resolve
 from fuzi_rd.functions.spans import window_fingerprint_batch
 
 # ~16 bytes/window: 5M windows = 80 MB broadcast — a benchmark corpus is
@@ -43,37 +44,31 @@ from fuzi_rd.functions.spans import window_fingerprint_batch
 DEFAULT_MAX_BENCH_WINDOWS = 5_000_000
 
 
-class _ProbeContamination:
-    """Actor-pool probe: benchmark fingerprints read from the object store
-    once per actor; per batch, one vectorized prefilter + rare pair checks."""
-
-    def __init__(self, bench_ref, w: int, doc_col: str, text_col: str):
-        import ray
-
-        fp1, pair_set = ray.get(bench_ref)
-        self.fp1 = fp1  # sorted unique first-hash array (prefilter)
-        self.pair_set = pair_set  # frozenset of (fp1 << 64 | fp2)
-        self.fps = window_fingerprint_batch(w, text_col=text_col, doc_col=doc_col)
-        self.doc_col = doc_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        wins = self.fps(batch)
-        fp = wins.column("fp").to_numpy(zero_copy_only=False)
-        doc = wins.column(self.doc_col).to_numpy(zero_copy_only=False)
-        bad = np.empty(0, dtype=np.int64)
-        if len(fp) and len(self.fp1):
-            cand = np.isin(fp, self.fp1)  # vectorized prefilter, rare hits
-            if cand.any():
-                fp2 = wins.column("fp2").to_numpy(zero_copy_only=False)
-                hits = [
-                    int(d)
-                    for d, a, b in zip(doc[cand], fp[cand], fp2[cand])
-                    if (int(a) << 64) | int(b) in self.pair_set
-                ]
-                bad = np.unique(np.array(hits, dtype=np.int64))
-        ids = batch.column(self.doc_col).to_numpy(zero_copy_only=False)
-        keep = ~np.isin(ids, bad)  # vectorized; Python touches only hits
-        return pa.table({self.doc_col: batch.column(self.doc_col).filter(pa.array(keep))})
+def _probe_contamination(
+    batch: pa.Table, bench_ref, w: int, doc_col: str, text_col: str
+) -> pa.Table:
+    """Task UDF: the batch's ``doc_col`` ids that share no window with the
+    benchmark.  The fingerprints (sorted unique first-hash array for the
+    prefilter, frozenset of ``fp1 << 64 | fp2``) resolve once per worker
+    process; per batch, one vectorized prefilter + rare pair checks."""
+    fp1, pair_set = resolve(bench_ref)
+    wins = window_fingerprint_batch(w, text_col=text_col, doc_col=doc_col)(batch)
+    fp = wins.column("fp").to_numpy(zero_copy_only=False)
+    doc = wins.column(doc_col).to_numpy(zero_copy_only=False)
+    bad = np.empty(0, dtype=np.int64)
+    if len(fp) and len(fp1):
+        cand = np.isin(fp, fp1)  # vectorized prefilter, rare hits
+        if cand.any():
+            fp2 = wins.column("fp2").to_numpy(zero_copy_only=False)
+            hits = [
+                int(d)
+                for d, a, b in zip(doc[cand], fp[cand], fp2[cand])
+                if (int(a) << 64) | int(b) in pair_set
+            ]
+            bad = np.unique(np.array(hits, dtype=np.int64))
+    ids = batch.column(doc_col).to_numpy(zero_copy_only=False)
+    keep = ~np.isin(ids, bad)  # vectorized; Python touches only hits
+    return pa.table({doc_col: batch.column(doc_col).filter(pa.array(keep))})
 
 
 def decontam_keep(
@@ -83,7 +78,6 @@ def decontam_keep(
     doc_col: str = "doc_id",
     text_col: str = "text",
     max_bench_windows: int = DEFAULT_MAX_BENCH_WINDOWS,
-    concurrency: int | None = None,
     batch_size: int = 1024,
 ):
     """Keep ``ds`` documents sharing NO ``w``-token window with
@@ -119,15 +113,14 @@ def decontam_keep(
     pair_set = frozenset(
         (int(a) << 64) | int(b) for a, b in zip(fp1, fp2)
     )
-    bench_ref = ray.put((np.unique(fp1), pair_set))
-
-    if concurrency is None:
-        n_cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(1, int(n_cpus * 0.75))
     return ds.map_batches(
-        _ProbeContamination,
-        fn_constructor_args=(bench_ref, w, doc_col, text_col),
+        _probe_contamination,
+        fn_kwargs={
+            "bench_ref": ray.put((np.unique(fp1), pair_set)),
+            "w": w,
+            "doc_col": doc_col,
+            "text_col": text_col,
+        },
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )

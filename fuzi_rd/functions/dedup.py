@@ -26,6 +26,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from fuzi_rd.broadcast import resolve
+from fuzi_rd.functions.simsearch import _batch_matrix
+
 # 64 independent-ish hash functions via (a*x+b) mod p over 64-bit space
 _MERSENNE = (1 << 61) - 1
 _RNG = np.random.RandomState(42)
@@ -90,26 +93,46 @@ def _adaptive_partitions(mds, rows_per_partition: int = 65536) -> int:
 def hash_join(left, right, join_type: str, num_partitions: int, on: tuple):
     """``left.join(right, ...)`` whose aggregator actors fit the cluster.
 
-    Ray reserves ``memory`` for each join aggregator from a per-partition
-    size estimate that defaults to the 128 MiB target block size; together
-    the aggregators reserve up to 7x that estimate per partition, so a
-    16-partition join asks for 14 GiB.  On a node with less Ray ``memory``
-    the aggregators that do not fit stay pending and the join never
-    finishes.  The estimate is capped so that one join reserves at most a
-    quarter of the cluster's memory (a plan may run a few joins at once);
-    it only sizes the reservation, not the partitions."""
+    Without a cluster config Ray gives each join aggregator 0.125 CPU per
+    partition and sizes its ``memory`` reservation from the 128 MiB target
+    block size (7x per partition), so a 16-partition join reserves 2 CPUs
+    and 14 GiB.  Aggregators that do not fit stay pending; aggregators
+    that take every CPU, or all the memory, leave none for the map and
+    shuffle tasks feeding them.  Either way the join never finishes.  Here
+    the aggregators get at most 0.125 CPU per partition and together at
+    most half the CPUs rounded down to a whole CPU, so one CPU stays free
+    for those tasks (Ray's own rule when it knows the cluster size).  Their
+    memory is Ray's estimate, capped so that one join reserves at most a
+    quarter of the cluster's Ray memory (a plan may run a few joins at
+    once).  Only the reservation changes, not the partitions."""
+    import math
+
     import ray
     from ray.data import DataContext
 
-    block = DataContext.get_current().target_max_block_size or 128 * 2**20
-    budget = ray.cluster_resources().get("memory", 0) / 4
-    hint = min(block, max(1, int(budget // (7 * num_partitions))))
+    ctx = DataContext.get_current()
+    n_agg = min(
+        num_partitions,
+        ctx.max_hash_shuffle_aggregators or ctx.default_hash_shuffle_parallelism,
+    )
+    block = ctx.target_max_block_size or 128 * 2**20
+    resources = ray.cluster_resources()
+    cpu_per_partition = min(0.125, (resources.get("CPU", 0) // 2) / num_partitions)
     return left.join(
         right,
         join_type=join_type,
         num_partitions=num_partitions,
         on=on,
-        partition_size_hint=hint,
+        aggregator_ray_remote_args={
+            "num_cpus": cpu_per_partition * math.ceil(num_partitions / n_agg),
+            "memory": int(
+                min(
+                    (2 * num_partitions / n_agg + 5) * block,
+                    resources.get("memory", 0) / 4 / n_agg,
+                )
+            ),
+            "scheduling_strategy": "SPREAD",
+        },
     )
 
 
@@ -259,31 +282,6 @@ def bloom_build(ref_ds, text_col: str = "text", n_bits: int = DEFAULT_BLOOM_BITS
     return result["bloom"]
 
 
-class BloomProbe:
-    """Actor-pool stage: appends a boolean ``hit`` column — True when the
-    row's text digest MIGHT be in the reference bloom (needs exact confirm),
-    False when it is DEFINITELY absent.  The bitmap is fetched from the
-    object store once per actor (zero-copy read of the ray.put'd array)."""
-
-    def __init__(self, bitmap_ref, n_bits: int, n_hashes: int, text_col: str):
-        import ray
-
-        self.bitmap = ray.get(bitmap_ref)
-        self.n_bits = n_bits
-        self.n_hashes = n_hashes
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column(self.text_col).to_pylist()
-        h1 = np.empty(len(texts), dtype=np.uint64)
-        h2 = np.empty(len(texts), dtype=np.uint64)
-        _bloom_h1h2(texts, h1, h2)
-        pos = _bloom_positions(h1, h2, self.n_bits, self.n_hashes)
-        bits = self.bitmap[(pos >> 3).astype(np.int64)] >> (pos & 7).astype(np.uint8)
-        hit = (bits & 1).all(axis=1)
-        return batch.append_column("__bloom_hit", pa.array(hit))
-
-
 def bloom_cross_corpus_keep(
     new_ds,
     ref_ds,
@@ -291,7 +289,6 @@ def bloom_cross_corpus_keep(
     n_bits: int = DEFAULT_BLOOM_BITS,
     n_hashes: int = DEFAULT_BLOOM_HASHES,
     num_partitions: int | None = None,
-    concurrency: int | tuple | None = None,
 ):
     """Exact cross-corpus dedup with a broadcast Bloom prefilter: result is
     row-identical to :func:`cross_corpus_dedup_keep`, but only the
@@ -312,10 +309,8 @@ def bloom_cross_corpus_keep(
     so the new crawl is read+hashed exactly once.  Without the
     materialize, Ray Data's lazy plan would re-execute the whole
     read+probe per consumer — the round-3 read-amplification flag.  The
-    probe is a TASK stage (not an actor pool): mixing an actor-pool stage
-    with a hash join in one union plan can starve a small session (see
-    the plan notes on ``_compact``), and the per-task ``ray.get`` of the
-    broadcast bitmap is a zero-copy local object-store read."""
+    probe is a task stage that resolves the bitmap once per worker
+    process (a zero-copy local object-store read)."""
     import ray
 
     bitmap = bloom_build(ref_ds, text_col, n_bits, n_hashes)
@@ -325,12 +320,9 @@ def bloom_cross_corpus_keep(
         # (Ray's Aggregate emits them for empty partitions) — short-circuit.
         return new_ds
     bitmap_ref = ray.put(bitmap)
-    del concurrency  # probe runs as a task pool; kept for API compat
 
     def _probe(batch: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        bm = _ray.get(bitmap_ref)
+        bm = resolve(bitmap_ref)
         texts = batch.column(text_col).to_pylist()
         h1 = np.empty(len(texts), dtype=np.uint64)
         h2 = np.empty(len(texts), dtype=np.uint64)
@@ -498,6 +490,22 @@ def paragraph_dedup_keep(ds, sep: str = "\n\n", num_partitions: int | None = Non
 DEFAULT_MAX_BOILERPLATE_LINES = 2_000_000
 
 
+def _scrub_lines(batch: pa.Table, boiler_ref, sep: str) -> pa.Table:
+    """Task UDF: drop every line whose md5 is in the broadcast set."""
+    boil: frozenset[str] = resolve(boiler_ref)
+    texts = [
+        sep.join(
+            ln
+            for ln in (t or "").split(sep)
+            if hashlib.md5(ln.encode("utf-8")).hexdigest() not in boil
+        )
+        for t in batch.column("text").to_pylist()
+    ]
+    return pa.table(
+        {"doc_id": batch.column("doc_id"), "text": pa.array(texts, pa.string())}
+    )
+
+
 def line_scrub(
     ds,
     min_docs: int = 3,
@@ -522,8 +530,8 @@ def line_scrub(
        only fixed-width 16-byte-md5 rows ride the groupby;
     2. the ``n_docs >= min_docs`` survivor set — bounded by
        ``max_boilerplate_lines``, hard-fail past it — is pulled to the
-       driver ONCE and broadcast via ``ray.put`` (read zero-copy per
-       scrub task, never re-shipped per batch);
+       driver ONCE and broadcast via ``ray.put`` (resolved once per
+       worker process, never re-shipped per batch);
     3. the scrub is a row-local ``map_batches`` filter: split, drop
        members of the broadcast set, re-join.  No shuffle, no join.
     """
@@ -561,36 +569,11 @@ def line_scrub(
                 "max_boilerplate_lines, or pre-filter the corpus — "
                 "broadcasting a set this large is a driver-memory hazard"
             )
-    boiler_ref = ray.put(frozenset(boiler))
-
-    class _Scrub:
-        def __init__(self, ref):
-            self.boiler: frozenset[str] = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            boil = self.boiler
-            texts = [
-                sep.join(
-                    ln
-                    for ln in (t or "").split(sep)
-                    if hashlib.md5(ln.encode("utf-8")).hexdigest() not in boil
-                )
-                for t in batch.column("text").to_pylist()
-            ]
-            return pa.table(
-                {
-                    "doc_id": batch.column("doc_id"),
-                    "text": pa.array(texts, pa.string()),
-                }
-            )
-
-    n_cpus = int(ray.cluster_resources().get("CPU", 4))
     return ds.map_batches(
-        _Scrub,
-        fn_constructor_kwargs={"ref": boiler_ref},
+        _scrub_lines,
+        fn_kwargs={"boiler_ref": ray.put(frozenset(boiler)), "sep": sep},
         batch_format="pyarrow",
         batch_size=4096,
-        concurrency=max(1, int(n_cpus * 0.75)),
     )
 
 
@@ -725,33 +708,22 @@ def jaccard(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union if union else 1.0
 
 
-class VerifyJaccard:
-    """Exact Jaccard verification of candidate pairs (actor-pool stage).
+def verify_jaccard(batch: pa.Table, threshold: float) -> pa.Table:
+    """Task UDF: exact Jaccard verification of candidate pairs.
 
     Input rows carry both sides' shingle sets (joined on by doc id); output
     is the verified (id_a, id_b) edge list.  Visible as
-    MapBatches(VerifyJaccard) in ds.stats()."""
-
-    def __init__(self, threshold: float):
-        self.threshold = threshold
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        sh_a = batch.column("sh_a").to_pylist()
-        sh_b = batch.column("sh_b").to_pylist()
-        keep = [
-            jaccard(
-                np.frombuffer(a, dtype=np.uint64),
-                np.frombuffer(b, dtype=np.uint64),
-            )
-            >= self.threshold
-            for a, b in zip(sh_a, sh_b)
-        ]
-        return pa.table(
-            {
-                "id_a": batch.column("id_a"),
-                "id_b": batch.column("id_b"),
-            }
-        ).filter(pa.array(keep, pa.bool_()))
+    MapBatches(verify_jaccard) in ds.stats()."""
+    sh_a = batch.column("sh_a").to_pylist()
+    sh_b = batch.column("sh_b").to_pylist()
+    keep = [
+        jaccard(np.frombuffer(a, dtype=np.uint64), np.frombuffer(b, dtype=np.uint64))
+        >= threshold
+        for a, b in zip(sh_a, sh_b)
+    ]
+    return pa.table(
+        {"id_a": batch.column("id_a"), "id_b": batch.column("id_b")}
+    ).filter(pa.array(keep, pa.bool_()))
 
 
 def _shingle_sets(docs_ds):
@@ -971,7 +943,7 @@ def minhash_dedup(
     Scale shape: a dataset job end-to-end.  Candidate docs' shingle sets
     are joined onto the pair list (hash joins on int64 ids — text never
     crosses an exchange), exact Jaccard runs vectorized inside
-    MapBatches(VerifyJaccard), clustering is min-label propagation with
+    MapBatches(verify_jaccard), clustering is min-label propagation with
     pointer jumping over the verified edge list, and the cluster assignment
     comes back as a Dataset — the driver holds only per-iteration
     convergence counters, never the clustered rows (30% of a crawl can be
@@ -1040,10 +1012,7 @@ def minhash_dedup(
     )
     verified = _compact(
         with_ab.map_batches(
-            VerifyJaccard,
-            fn_constructor_kwargs={"threshold": threshold},
-            batch_format="pyarrow",
-            concurrency=(1, 8),
+            verify_jaccard, fn_kwargs={"threshold": threshold}, batch_format="pyarrow"
         )
     )
     if verified.count() == 0:
@@ -1233,6 +1202,29 @@ def ngram_jaccard_pairs(
 DEFAULT_EMB_EXACT_MAX_ROWS = 200_000
 
 
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """Rows of ``m`` scaled to unit length (zero rows stay zero)."""
+    nm = np.linalg.norm(m, axis=1)
+    nm[nm == 0] = 1.0
+    return m / nm[:, None]
+
+
+def _pair_scan(batch: pa.Table, ref, threshold: float) -> pa.Table:
+    """Task UDF: this batch's (id_a < id_b) pairs against the broadcast
+    unit matrix with cosine >= ``threshold``."""
+    all_ids, all_mat = resolve(ref)
+    bid = batch.column("vec_id").to_numpy()
+    sims = _unit_rows(_batch_matrix(batch)) @ all_mat.T
+    ii, jj = np.nonzero((sims >= threshold) & (bid[:, None] < all_ids[None, :]))
+    return pa.table(
+        {
+            "id_a": pa.array(bid[ii], pa.int64()),
+            "id_b": pa.array(all_ids[jj], pa.int64()),
+            "sim": pa.array(np.round(sims[ii, jj], 4), pa.float64()),
+        }
+    )
+
+
 def embedding_near_dup(
     ds, threshold: float = 0.9, max_rows: int = DEFAULT_EMB_EXACT_MAX_ROWS
 ):
@@ -1263,43 +1255,31 @@ def embedding_near_dup(
             )
         mat_tbl = b if mat_tbl is None else pa.concat_tables([mat_tbl, b])
     ids = mat_tbl.column("vec_id").to_numpy()
-    col = mat_tbl.column("embedding")
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    mat = (
-        col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-    ).reshape(len(ids), -1)
-    norms = np.linalg.norm(mat, axis=1)
-    norms[norms == 0] = 1.0
-    ref = ray.put((ids, mat / norms[:, None]))
+    unit = _unit_rows(_batch_matrix(mat_tbl))
+    return ds.map_batches(
+        _pair_scan,
+        fn_kwargs={"ref": ray.put((ids, unit)), "threshold": threshold},
+        batch_format="pyarrow",
+    )
 
-    class PairScan:
-        def __init__(self):
-            self.all_ids, self.all_mat = ray.get(ref)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            bid = batch.column("vec_id").to_numpy()
-            col = batch.column("embedding")
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            m = (
-                col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-            ).reshape(len(bid), -1)
-            nm = np.linalg.norm(m, axis=1)
-            nm[nm == 0] = 1.0
-            sims = (m / nm[:, None]) @ self.all_mat.T
-            ii, jj = np.nonzero(
-                (sims >= threshold) & (bid[:, None] < self.all_ids[None, :])
-            )
-            return pa.table(
-                {
-                    "id_a": pa.array(bid[ii], pa.int64()),
-                    "id_b": pa.array(self.all_ids[jj], pa.int64()),
-                    "sim": pa.array(np.round(sims[ii, jj], 4), pa.float64()),
-                }
-            )
-
-    return ds.map_batches(PairScan, batch_format="pyarrow", concurrency=(1, 8))
+def _assign_cluster(batch: pa.Table, cents_ref) -> pa.Table:
+    """Task UDF: each row's nearest centroid and its cosine similarity to
+    it (floored milli), embedding passed through."""
+    cents, cents_n = resolve(cents_ref)
+    m = _batch_matrix(batch)
+    cluster = ((m[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    cent_sim = (_unit_rows(m) * cents_n[cluster]).sum(axis=1)
+    return pa.table(
+        {
+            "vec_id": batch.column("vec_id"),
+            "cluster": pa.array(cluster, pa.int32()),
+            "cent_sim_milli": pa.array(
+                np.floor(cent_sim * 1000).astype(np.int64), pa.int64()
+            ),
+            "embedding": batch.column("embedding"),
+        }
+    )
 
 
 DEFAULT_SEMDEDUP_MAX_CLUSTER = 100_000
@@ -1354,33 +1334,6 @@ def semantic_dedup(
     cnorm[cnorm == 0] = 1.0
     cents_ref = ray.put((cents, cents / cnorm[:, None]))
 
-    class _Assign:
-        def __init__(self):
-            self.cents, self.cents_n = ray.get(cents_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            col = batch.column("embedding")
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            m = (
-                col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-            ).reshape(len(batch), -1)
-            d2 = ((m[:, None, :] - self.cents[None, :, :]) ** 2).sum(axis=2)
-            cluster = d2.argmin(axis=1)
-            nm = np.linalg.norm(m, axis=1)
-            nm[nm == 0] = 1.0
-            cent_sim = ((m / nm[:, None]) * self.cents_n[cluster]).sum(axis=1)
-            return pa.table(
-                {
-                    "vec_id": batch.column("vec_id"),
-                    "cluster": pa.array(cluster, pa.int32()),
-                    "cent_sim_milli": pa.array(
-                        np.floor(cent_sim * 1000).astype(np.int64), pa.int64()
-                    ),
-                    "embedding": col,
-                }
-            )
-
     def _dedupe_cluster(group: pa.Table) -> pa.Table:
         n = group.num_rows
         if n > max_cluster_rows:
@@ -1391,15 +1344,7 @@ def semantic_dedup(
             )
         bid = group.column("vec_id").to_numpy()
         csim = group.column("cent_sim_milli").to_numpy()
-        col = group.column("embedding")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        m = (
-            col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-        ).reshape(n, -1)
-        nm = np.linalg.norm(m, axis=1)
-        nm[nm == 0] = 1.0
-        mn = m / nm[:, None]
+        mn = _unit_rows(_batch_matrix(group))
         parent = np.arange(n)
 
         def find(x: int) -> int:
@@ -1442,7 +1387,9 @@ def semantic_dedup(
         )
 
     return (
-        ds.map_batches(_Assign, batch_format="pyarrow", concurrency=(1, 8))
+        ds.map_batches(
+            _assign_cluster, fn_kwargs={"cents_ref": cents_ref}, batch_format="pyarrow"
+        )
         .groupby("cluster")
         .map_groups(_dedupe_cluster, batch_format="pyarrow")
     )

@@ -13,8 +13,8 @@ Shape at 100 TB — the canonical two-stage broadcast pattern:
    exchange) -> small ``groupby("tok").sum`` -> optional ``top_k`` cap
    (``sort + limit``).  The vocabulary, not the corpus, crosses the wire.
 2. **Score**: the vocabulary dict goes to the object store ONCE via
-   ``ray.put``; a scoring actor pool reads it zero-copy per actor and
-   scores batches locally.  No shuffle touches document rows.
+   ``ray.put``; scoring tasks resolve it once per worker process and
+   score batches locally.  No shuffle touches document rows.
 
 The driver holds only the (capped) vocabulary — with ``top_k`` set this is
 bounded regardless of corpus size; tokens outside the cap score as
@@ -34,6 +34,8 @@ import re
 
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from fuzi_rd.broadcast import resolve
 
 __all__ = [
     "fit_unigram_vocab",
@@ -118,53 +120,51 @@ def fit_unigram_vocab(
     return vocab, total
 
 
-class _ScoreDocs:
-    """Actor-pool scorer: vocabulary read from the object store once per
-    actor (zero-copy broadcast), integer milli-nat arithmetic per batch."""
-
-    def __init__(
-        self,
-        vocab_ref,
-        total: int,
-        id_col: str,
-        text_col: str,
-        max_token_chars: int | None,
-    ):
-        import ray
-
-        vocab: dict[str, int] = ray.get(vocab_ref)
-        self.id_col = id_col
-        self.text_col = text_col
-        self.max_token_chars = max_token_chars
-        # precompute per-token integer surprisal; OOV = count-1 event
-        self.milli = {
-            tok: math.floor(-1000.0 * math.log(c / total))
-            for tok, c in vocab.items()
+def _token_sums(
+    batch: pa.Table,
+    weights: dict[str, int],
+    oov: int,
+    id_col: str,
+    text_col: str,
+    max_token_chars: int | None,
+    sum_col: str,
+) -> pa.Table:
+    """Per document: token count, the sum of its tokens' integer weights
+    (``oov`` for a token with none) and the floor mean.  Zero-token
+    documents have no evidence and are excluded."""
+    ids = batch.column(id_col).to_pylist()
+    texts = batch.column(text_col).to_pylist()
+    out_ids, n_toks, sums, means = [], [], [], []
+    for i, text in zip(ids, texts):
+        toks = _tokens(text or "", max_token_chars)
+        if not toks:
+            continue
+        s = sum(weights.get(t, oov) for t in toks)
+        out_ids.append(i)
+        n_toks.append(len(toks))
+        sums.append(s)
+        means.append(s // len(toks))  # Python floor division
+    return pa.table(
+        {
+            id_col: pa.array(out_ids, pa.int64()),
+            "n_tokens": pa.array(n_toks, pa.int64()),
+            sum_col: pa.array(sums, pa.int64()),
+            "mean_" + sum_col: pa.array(means, pa.int64()),
         }
-        self.oov = math.floor(-1000.0 * math.log(1.0 / max(total, 1)))
+    )
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column(self.id_col).to_pylist()
-        texts = batch.column(self.text_col).to_pylist()
-        out_ids, n_toks, sums, means = [], [], [], []
-        milli, oov = self.milli, self.oov
-        for i, text in zip(ids, texts):
-            toks = _tokens(text or "", self.max_token_chars)
-            if not toks:
-                continue  # zero-token docs have no likelihood; excluded
-            s = sum(milli.get(t, oov) for t in toks)
-            out_ids.append(i)
-            n_toks.append(len(toks))
-            sums.append(s)
-            means.append(s // len(toks))
-        return pa.table(
-            {
-                self.id_col: pa.array(out_ids, pa.int64()),
-                "n_tokens": pa.array(n_toks, pa.int64()),
-                "surprisal_milli": pa.array(sums, pa.int64()),
-                "mean_surprisal_milli": pa.array(means, pa.int64()),
-            }
-        )
+
+def _surprisal_table(vocab: dict[str, int], total: int) -> tuple[dict[str, int], int]:
+    """Per-token integer surprisal; OOV = count-1 event."""
+    milli = {tok: math.floor(-1000.0 * math.log(c / total)) for tok, c in vocab.items()}
+    return milli, math.floor(-1000.0 * math.log(1.0 / max(total, 1)))
+
+
+def _score_docs(batch: pa.Table, vocab_ref, total: int, **cols) -> pa.Table:
+    """Task UDF: unigram surprisal against the vocabulary, whose surprisal
+    table is built once per worker process."""
+    milli, oov = resolve(vocab_ref, _surprisal_table, total)
+    return _token_sums(batch, milli, oov, sum_col="surprisal_milli", **cols)
 
 
 def unigram_logprob(
@@ -173,7 +173,6 @@ def unigram_logprob(
     text_col: str = "text",
     top_k: int | None = DEFAULT_TOP_K,
     max_token_chars: int | None = DEFAULT_MAX_TOKEN_CHARS,
-    concurrency: int | None = None,
     batch_size: int = 4096,
 ):
     """Score every document's unigram surprisal; returns a Dataset.
@@ -190,14 +189,10 @@ def unigram_logprob(
     vocab, total = fit_unigram_vocab(
         ds, text_col=text_col, top_k=top_k, max_token_chars=max_token_chars
     )
-    vocab_ref = ray.put(vocab)
-    if concurrency is None:
-        n_cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(1, int(n_cpus * 0.75))
     return ds.map_batches(
-        _ScoreDocs,
-        fn_constructor_kwargs={
-            "vocab_ref": vocab_ref,
+        _score_docs,
+        fn_kwargs={
+            "vocab_ref": ray.put(vocab),
             "total": total,
             "id_col": id_col,
             "text_col": text_col,
@@ -205,7 +200,6 @@ def unigram_logprob(
         },
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 
@@ -351,69 +345,60 @@ def fit_bigram_counts(
     return {(r["prev"], r["cur"]): int(r["c"]) for r in agg.iter_rows()}
 
 
-class _ScoreBigrams:
-    """Actor-pool scorer: unigram + bigram count dicts read zero-copy from
-    the object store once per actor; integer milli-nat add-one arithmetic
-    per adjacent pair.  A bounded per-pair memo collapses the math.log
-    calls to one per distinct pair per actor (Zipf)."""
+def _bigram_scorer(counts: tuple[dict, dict], v_size: int):
+    """Add-one milli-nat price of an adjacent pair, with a bounded per-pair
+    memo that collapses the ``math.log`` calls to one per distinct pair
+    per worker process (Zipf)."""
+    vocab, bigrams = counts
+    memo: dict[tuple[str, str], int] = {}
 
-    def __init__(
-        self,
-        vocab_ref,
-        bigrams_ref,
-        v_size: int,
-        id_col: str,
-        text_col: str,
-        max_token_chars: int | None,
-    ):
-        import ray
-
-        self.vocab: dict[str, int] = ray.get(vocab_ref)
-        self.bigrams: dict[tuple[str, str], int] = ray.get(bigrams_ref)
-        self.v = v_size
-        self.id_col = id_col
-        self.text_col = text_col
-        self.max_token_chars = max_token_chars
-        self._memo: dict[tuple[str, str], int] = {}
-
-    def _milli(self, pair: tuple[str, str]) -> int:
-        m = self._memo.get(pair)
+    def milli(pair: tuple[str, str]) -> int:
+        m = memo.get(pair)
         if m is None:
-            if len(self._memo) > 2_000_000:
-                self._memo.clear()
-            cb = self.bigrams.get(pair, 0)
-            cu = self.vocab.get(pair[0], 0)
+            if len(memo) > 2_000_000:
+                memo.clear()
+            cb = bigrams.get(pair, 0)
+            cu = vocab.get(pair[0], 0)
             # DuckDB mirror: BIGINT/BIGINT divides as DOUBLE/DOUBLE
-            m = math.floor(
-                -1000.0 * math.log(float(cb + 1) / float(cu + self.v))
-            )
-            self._memo[pair] = m
+            m = math.floor(-1000.0 * math.log(float(cb + 1) / float(cu + v_size)))
+            memo[pair] = m
         return m
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column(self.id_col).to_pylist()
-        texts = batch.column(self.text_col).to_pylist()
-        out_ids, n_bi, sums, means = [], [], [], []
-        for i, text in zip(ids, texts):
-            toks = _tokens(text or "", self.max_token_chars)
-            if len(toks) < 2:
-                continue  # no transitions to score
-            s = 0
-            for k in zip(toks, toks[1:]):
-                s += self._milli(k)
-            n = len(toks) - 1
-            out_ids.append(i)
-            n_bi.append(n)
-            sums.append(s)
-            means.append(s // n)
-        return pa.table(
-            {
-                self.id_col: pa.array(out_ids, pa.int64()),
-                "n_bigrams": pa.array(n_bi, pa.int64()),
-                "bigram_surprisal_milli": pa.array(sums, pa.int64()),
-                "mean_bigram_surprisal_milli": pa.array(means, pa.int64()),
-            }
-        )
+    return milli
+
+
+def _score_bigrams(
+    batch: pa.Table,
+    counts_ref,
+    v_size: int,
+    id_col: str,
+    text_col: str,
+    max_token_chars: int | None,
+) -> pa.Table:
+    """Task UDF: bigram surprisal against the unigram + bigram count dicts,
+    resolved once per worker process."""
+    milli = resolve(counts_ref, _bigram_scorer, v_size)
+    ids = batch.column(id_col).to_pylist()
+    texts = batch.column(text_col).to_pylist()
+    out_ids, n_bi, sums, means = [], [], [], []
+    for i, text in zip(ids, texts):
+        toks = _tokens(text or "", max_token_chars)
+        if len(toks) < 2:
+            continue  # no transitions to score
+        s = sum(milli(k) for k in zip(toks, toks[1:]))
+        n = len(toks) - 1
+        out_ids.append(i)
+        n_bi.append(n)
+        sums.append(s)
+        means.append(s // n)
+    return pa.table(
+        {
+            id_col: pa.array(out_ids, pa.int64()),
+            "n_bigrams": pa.array(n_bi, pa.int64()),
+            "bigram_surprisal_milli": pa.array(sums, pa.int64()),
+            "mean_bigram_surprisal_milli": pa.array(means, pa.int64()),
+        }
+    )
 
 
 def bigram_logprob(
@@ -422,7 +407,6 @@ def bigram_logprob(
     text_col: str = "text",
     top_k: int | None = DEFAULT_TOP_K,
     max_token_chars: int | None = DEFAULT_MAX_TOKEN_CHARS,
-    concurrency: int | None = None,
     batch_size: int = 4096,
 ):
     """Score every document under an add-one-smoothed corpus bigram model
@@ -439,8 +423,8 @@ def bigram_logprob(
     Scale shape — the two-stage broadcast pattern twice over: unigram and
     bigram counts each fit via per-batch combiners + a small key groupby
     (``top_k`` bounds both broadcast dicts at crawl scale; unseen pairs
-    are exactly what add-one smoothing prices), then one actor-pool
-    scoring pass; document text never crosses an exchange."""
+    are exactly what add-one smoothing prices), then one task scoring
+    pass; document text never crosses an exchange."""
     import ray
 
     vocab, _total = fit_unigram_vocab(
@@ -464,16 +448,10 @@ def bigram_logprob(
     bigrams = fit_bigram_counts(
         ds, text_col=text_col, top_k=top_k, max_token_chars=max_token_chars
     )
-    vocab_ref = ray.put(vocab)
-    bigrams_ref = ray.put(bigrams)
-    if concurrency is None:
-        n_cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(1, int(n_cpus * 0.75))
     return ds.map_batches(
-        _ScoreBigrams,
-        fn_constructor_kwargs={
-            "vocab_ref": vocab_ref,
-            "bigrams_ref": bigrams_ref,
+        _score_bigrams,
+        fn_kwargs={
+            "counts_ref": ray.put((vocab, bigrams)),
             "v_size": v_size,
             "id_col": id_col,
             "text_col": text_col,
@@ -481,7 +459,6 @@ def bigram_logprob(
         },
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 
@@ -561,47 +538,34 @@ def _fit_dsir_counts(ds, text_col, n_buckets, max_chars):
     return counts
 
 
-class _ScoreDsir:
-    """Actor-pool scorer: the per-bucket milli log-ratio table (one int64
-    numpy array of ``n_buckets`` entries) reads zero-copy per actor."""
-
-    def __init__(
-        self,
-        milli_ref,
-        n_buckets: int,
-        id_col: str,
-        text_col: str,
-        max_token_chars: int | None,
-    ):
-        import ray
-
-        self.milli = ray.get(milli_ref)
-        self.n_buckets = n_buckets
-        self.id_col = id_col
-        self.text_col = text_col
-        self.max_token_chars = max_token_chars
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column(self.id_col).to_pylist()
-        texts = batch.column(self.text_col).to_pylist()
-        out_ids, n_feat, weights = [], [], []
-        milli = self.milli
-        for i, text in zip(ids, texts):
-            feats = _dsir_feature_buckets(
-                _tokens(text or "", self.max_token_chars), self.n_buckets
-            )
-            if not feats:
-                continue  # nothing to weight
-            out_ids.append(i)
-            n_feat.append(len(feats))
-            weights.append(int(sum(int(milli[f]) for f in feats)))
-        return pa.table(
-            {
-                self.id_col: pa.array(out_ids, pa.int64()),
-                "n_features": pa.array(n_feat, pa.int64()),
-                "dsir_milli": pa.array(weights, pa.int64()),
-            }
-        )
+def _score_dsir(
+    batch: pa.Table,
+    milli_ref,
+    n_buckets: int,
+    id_col: str,
+    text_col: str,
+    max_token_chars: int | None,
+) -> pa.Table:
+    """Task UDF: DSIR weight against the per-bucket milli log-ratio table
+    (one int64 array of ``n_buckets`` entries, read zero-copy)."""
+    milli = resolve(milli_ref)
+    ids = batch.column(id_col).to_pylist()
+    texts = batch.column(text_col).to_pylist()
+    out_ids, n_feat, weights = [], [], []
+    for i, text in zip(ids, texts):
+        feats = _dsir_feature_buckets(_tokens(text or "", max_token_chars), n_buckets)
+        if not feats:
+            continue  # nothing to weight
+        out_ids.append(i)
+        n_feat.append(len(feats))
+        weights.append(int(sum(int(milli[f]) for f in feats)))
+    return pa.table(
+        {
+            id_col: pa.array(out_ids, pa.int64()),
+            "n_features": pa.array(n_feat, pa.int64()),
+            "dsir_milli": pa.array(weights, pa.int64()),
+        }
+    )
 
 
 def dsir_weights(
@@ -611,7 +575,6 @@ def dsir_weights(
     text_col: str = "text",
     n_buckets: int = DEFAULT_DSIR_BUCKETS,
     max_token_chars: int | None = DEFAULT_MAX_TOKEN_CHARS,
-    concurrency: int | None = None,
     batch_size: int = 4096,
 ):
     """DSIR importance weights (Xie et al. 2023, "Data Selection for
@@ -632,7 +595,7 @@ def dsir_weights(
     corpus or vocabulary size — no ``top_k`` cap needed, nothing
     unbounded reaches the driver.  Per-batch bucket combiners feed a
     <= B-row groupby per corpus; the milli table broadcasts once; one
-    actor-pool pass scores raw docs.  Hash buckets follow DuckDB
+    task pass scores raw docs.  Hash buckets follow DuckDB
     ``md5_number_lower % B`` exactly, so the whole operator is
     SQL-oracle-checkable bit for bit (two separate integer floors keep
     the subtraction exact cross-engine).
@@ -657,14 +620,10 @@ def dsir_weights(
         ],
         dtype=np.int64,
     )
-    milli_ref = ray.put(milli)
-    if concurrency is None:
-        n_cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(1, int(n_cpus * 0.75))
     return raw_ds.map_batches(
-        _ScoreDsir,
-        fn_constructor_kwargs={
-            "milli_ref": milli_ref,
+        _score_dsir,
+        fn_kwargs={
+            "milli_ref": ray.put(milli),
             "n_buckets": n_buckets,
             "id_col": id_col,
             "text_col": text_col,
@@ -672,7 +631,6 @@ def dsir_weights(
         },
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 
@@ -785,43 +743,12 @@ def fit_logodds_weights(
     return weights, oov
 
 
-class _ScoreLogodds:
-    """Actor-pool scorer: weights read from the object store once per
-    actor; integer milli arithmetic per batch (sums are exact, the mean is
-    FLOOR division so the DuckDB oracle can reproduce it bit-for-bit on
-    negative sums too)."""
-
-    def __init__(self, weights_ref, oov: int, id_col, text_col, max_token_chars):
-        import ray
-
-        self.weights: dict[str, int] = ray.get(weights_ref)
-        self.oov = oov
-        self.id_col = id_col
-        self.text_col = text_col
-        self.max_token_chars = max_token_chars
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column(self.id_col).to_pylist()
-        texts = batch.column(self.text_col).to_pylist()
-        out_ids, n_toks, sums, means = [], [], [], []
-        w, oov = self.weights, self.oov
-        for i, text in zip(ids, texts):
-            toks = _tokens(text or "", self.max_token_chars)
-            if not toks:
-                continue  # no tokens, no evidence; excluded like unigram_lm
-            s = sum(w.get(t, oov) for t in toks)
-            out_ids.append(i)
-            n_toks.append(len(toks))
-            sums.append(s)
-            means.append(s // len(toks))  # Python floor division
-        return pa.table(
-            {
-                self.id_col: pa.array(out_ids, pa.int64()),
-                "n_tokens": pa.array(n_toks, pa.int64()),
-                "logodds_milli": pa.array(sums, pa.int64()),
-                "mean_logodds_milli": pa.array(means, pa.int64()),
-            }
-        )
+def _score_logodds(batch: pa.Table, weights_ref, **cols) -> pa.Table:
+    """Task UDF: log-odds sums against the (weights, oov) broadcast,
+    resolved once per worker process.  The mean is FLOOR division, so the
+    DuckDB oracle reproduces it bit for bit on negative sums too."""
+    weights, oov = resolve(weights_ref)
+    return _token_sums(batch, weights, oov, sum_col="logodds_milli", **cols)
 
 
 def logodds_score(
@@ -831,7 +758,6 @@ def logodds_score(
     label_col: str = "is_good",
     top_k: int | None = DEFAULT_TOP_K,
     max_token_chars: int | None = DEFAULT_MAX_TOKEN_CHARS,
-    concurrency: int | None = None,
     batch_size: int = 4096,
 ):
     """fastText-style linear quality classifier over token log-odds.
@@ -840,8 +766,8 @@ def logodds_score(
     good/bad split, a heuristic gate, an upstream model — the fit is label
     -source-agnostic).  Fit and scoring follow the unigram_lm two-stage
     broadcast shape: per-batch count combiners -> one vocabulary-sized
-    groupby -> weights broadcast ONCE via ``ray.put`` -> scoring actor
-    pool; document rows never shuffle.  Integer-milli outputs, exact vs
+    groupby -> weights broadcast ONCE via ``ray.put`` -> scoring tasks;
+    document rows never shuffle.  Integer-milli outputs, exact vs
     the DuckDB oracle at ``top_k=None, max_token_chars=None``.
     """
     import ray
@@ -853,20 +779,14 @@ def logodds_score(
         top_k=top_k,
         max_token_chars=max_token_chars,
     )
-    weights_ref = ray.put(weights)
-    if concurrency is None:
-        n_cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(1, int(n_cpus * 0.75))
     return ds.map_batches(
-        _ScoreLogodds,
-        fn_constructor_kwargs={
-            "weights_ref": weights_ref,
-            "oov": oov,
+        _score_logodds,
+        fn_kwargs={
+            "weights_ref": ray.put((weights, oov)),
             "id_col": id_col,
             "text_col": text_col,
             "max_token_chars": max_token_chars,
         },
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )

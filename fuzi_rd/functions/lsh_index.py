@@ -56,6 +56,7 @@ import pathlib
 import numpy as np
 import pyarrow as pa
 
+from fuzi_rd.broadcast import resolve
 from fuzi_rd.functions.dedup import (
     BAND_SIZE,
     N_BANDS,
@@ -180,6 +181,54 @@ def min_agree(threshold: float) -> int:
     return -((-int(round(threshold * 1000)) * N_PERM) // 1000)
 
 
+def _probe_bands(batch: pa.Table, probe_ref, query_col: str) -> pa.Table:
+    """Task UDF: (query, doc) for every band row whose (band, band_hash)
+    a query shares."""
+    probe = resolve(probe_ref)
+    out_q, out_d = [], []
+    for band, h, doc in zip(
+        batch.column("band").to_pylist(),
+        batch.column("band_hash").to_pylist(),
+        batch.column("doc_id").to_pylist(),
+    ):
+        for qid in probe.get((band, h), ()):
+            out_q.append(qid)
+            out_d.append(doc)
+    return pa.table(
+        {query_col: pa.array(out_q, pa.int64()), "doc_id": pa.array(out_d, pa.int64())}
+    )
+
+
+def _verify_candidates(
+    batch: pa.Table, verify_ref, need: int, query_col: str
+) -> pa.Table:
+    """Task UDF: exact signature-position agreement of each candidate
+    (query, doc) pair; keeps pairs with at least ``need`` agreeing rows."""
+    doc_to_queries, q_sigs = resolve(verify_ref)
+    out_q, out_d, out_n = [], [], []
+    for doc, sig_bytes in zip(
+        batch.column("doc_id").to_pylist(), batch.column("sig").to_pylist()
+    ):
+        qids = doc_to_queries.get(doc)
+        if not qids:
+            continue
+        sig = np.frombuffer(sig_bytes, dtype=np.uint64)
+        for qid in qids:
+            n = int((sig == q_sigs[qid]).sum())
+            if n >= need:
+                out_q.append(qid)
+                out_d.append(doc)
+                out_n.append(n)
+    return pa.table(
+        {
+            query_col: pa.array(out_q, pa.int64()),
+            "doc_id": pa.array(out_d, pa.int64()),
+            "n_agree": pa.array(out_n, pa.int64()),
+            "est_milli": pa.array([n * 1000 // N_PERM for n in out_n], pa.int64()),
+        }
+    )
+
+
 def lsh_lookup(
     index_dir: str,
     queries_ds,
@@ -196,7 +245,8 @@ def lsh_lookup(
     corpus doc) pair that shares >= 1 LSH band AND whose signature
     agreement clears ``threshold``.  Self-pairs are NOT filtered: if the
     query doc is in the corpus it reports itself at n_agree=64 (callers
-    deduplicate on id if they want to).
+    deduplicate on id if they want to).  Query ids must be distinct
+    (ValueError otherwise): signatures are keyed by id.
 
     Driver state is the query signatures and the candidate id->queries
     map, both capped (hard ValueError) — see the module docstring for why
@@ -230,6 +280,11 @@ def lsh_lookup(
             f"max_queries={max_queries}; use minhash_dedup for batch jobs"
         )
     q_ids = q_sigs_tbl.column(query_col).to_pylist()
+    if len(q_ids) != len(set(q_ids)):
+        raise ValueError(
+            f"lsh_lookup: duplicate {query_col} values; each query needs its "
+            "own id, or all but one of its signatures would be dropped"
+        )
     q_sig_arrs = {
         qid: np.frombuffer(s, dtype=np.uint64)
         for qid, s in zip(q_ids, q_sigs_tbl.column("sig").to_pylist())
@@ -264,32 +319,13 @@ def lsh_lookup(
         return ray.data.from_arrow(empty)
 
     # 3. pruned band read; probe set broadcast ONCE.
-    probe_ref = ray.put(probe)
-
-    class _ProbeBands:
-        def __init__(self, probe_ref):
-            self.probe = ray.get(probe_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            bands = batch.column("band").to_pylist()
-            hashes = batch.column("band_hash").to_pylist()
-            docs = batch.column("doc_id").to_pylist()
-            out_q, out_d = [], []
-            for band, h, doc in zip(bands, hashes, docs):
-                for qid in self.probe.get((band, h), ()):
-                    out_q.append(qid)
-                    out_d.append(doc)
-            return pa.table(
-                {
-                    query_col: pa.array(out_q, pa.int64()),
-                    "doc_id": pa.array(out_d, pa.int64()),
-                }
-            )
-
     cand = (
         ray.data.read_parquet(band_dirs, columns=["band", "band_hash", "doc_id"])
-        .map_batches(_ProbeBands, fn_constructor_args=(probe_ref,),
-                     concurrency=4, batch_format="pyarrow")
+        .map_batches(
+            _probe_bands,
+            fn_kwargs={"probe_ref": ray.put(probe), "query_col": query_col},
+            batch_format="pyarrow",
+        )
         .groupby([query_col, "doc_id"])
         .count()
         .drop_columns(["count()"])
@@ -327,41 +363,12 @@ def lsh_lookup(
         for f in sorted((base / "sigs" / f"sbucket={k}").glob("*.parquet"))
         if (base / "sigs" / f"sbucket={k}").exists()
     ]
-    verify_ref = ray.put((doc_to_queries, q_sig_arrs))
-    need = min_agree(threshold)
-
-    class _Verify:
-        def __init__(self, verify_ref):
-            self.doc_to_queries, self.q_sigs = ray.get(verify_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            docs = batch.column("doc_id").to_pylist()
-            sigs = batch.column("sig").to_pylist()
-            out_q, out_d, out_n = [], [], []
-            for doc, sig_bytes in zip(docs, sigs):
-                qids = self.doc_to_queries.get(doc)
-                if not qids:
-                    continue
-                sig = np.frombuffer(sig_bytes, dtype=np.uint64)
-                for qid in qids:
-                    n = int((sig == self.q_sigs[qid]).sum())
-                    if n >= need:
-                        out_q.append(qid)
-                        out_d.append(doc)
-                        out_n.append(n)
-            return pa.table(
-                {
-                    query_col: pa.array(out_q, pa.int64()),
-                    "doc_id": pa.array(out_d, pa.int64()),
-                    "n_agree": pa.array(out_n, pa.int64()),
-                    "est_milli": pa.array(
-                        [n * 1000 // N_PERM for n in out_n], pa.int64()
-                    ),
-                }
-            )
-
-    return (
-        ray.data.read_parquet(sig_dirs, columns=["doc_id", "sig"])
-        .map_batches(_Verify, fn_constructor_args=(verify_ref,),
-                     concurrency=4, batch_format="pyarrow")
+    return ray.data.read_parquet(sig_dirs, columns=["doc_id", "sig"]).map_batches(
+        _verify_candidates,
+        fn_kwargs={
+            "verify_ref": ray.put((doc_to_queries, q_sig_arrs)),
+            "need": min_agree(threshold),
+            "query_col": query_col,
+        },
+        batch_format="pyarrow",
     )

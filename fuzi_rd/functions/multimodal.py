@@ -2,17 +2,17 @@
 
 The container has no image/audio libraries, so the *decode kernels* are
 stubbed (clearly marked below); everything Ray-side is real and tested:
-schema handling, actor-pool signatures, batch sizing for large binary
-payloads, and the output layout.
+schema handling, task signatures, batch sizing for large binary payloads,
+and the output layout.
 
 Media rows use the layout:
 
     media_id: int64, kind: string ('image'|'audio'|'video'),
     payload: binary, meta: string (json: {format, width, height, ...})
 
-Stages (all ``map_batches`` actor-pool classes — stateful setup happens once
-per actor in ``__init__``, the Ray analog of the reference's actor-held
-parser state, /root/reference/Sources/Actor.swift:136-167):
+Stages are callable classes whose constructor holds the setup; an instance
+maps as Ray Data tasks (``ds.map_batches(DecodeImage(), ...)``), so the
+setup runs once on the driver and ships with the task:
 
     DecodeImage      payload -> (width, height, format) metadata columns
     ExtractFeatures  payload -> fixed-dim float32 feature vector
@@ -20,7 +20,7 @@ parser state, /root/reference/Sources/Actor.swift:136-167):
                      style: output rows > input rows)
 
 Batch-size guidance at scale: payload-bearing batches should be SMALL
-(batch_size 4-16) so batch x concurrency fits the worker heap; metadata-only
+(batch_size 4-16) so one batch per worker process fits its heap; metadata-only
 stages can batch thousands of rows.
 """
 
@@ -89,7 +89,7 @@ class DecodeImage:
 class ExtractFeatures:
     """payload -> fixed-dim feature vector (stub: blake2b bytes -> floats).
     In production this is the batched-model-inference stage; the Arrow
-    plumbing (list<float32> output, actor pool, small batches) is identical."""
+    plumbing (list<float32> output, small batches) is identical."""
 
     def __init__(self, dim: int = 32):
         self.dim = dim
@@ -115,7 +115,7 @@ class ResizeImage:
     library in this environment): output payload is a deterministic
     hash-derived stand-in sized proportionally to the target area, so batch
     memory behavior matches a real resize.  The Ray-side plumbing (binary
-    in/binary out, small batches, actor pool) is the production shape."""
+    in/binary out, small batches) is the production shape."""
 
     def __init__(self, max_w: int = 512, max_h: int = 512, backend: str = "stub"):
         if backend != "stub" and not _REAL_DECODERS_AVAILABLE:

@@ -31,6 +31,7 @@ import pathlib
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from fuzi_rd.broadcast import resolve
 from fuzi_rd.functions.vocab import TOKEN_SPLIT_PATTERN
 
 DEFAULT_N_BUCKETS = 64
@@ -193,6 +194,33 @@ def lookup_token(
     )
 
 
+def _bm25_contrib(
+    batch: pa.Table, idf_ref, doc_col: str, k1: float, b: float, avgdl: float
+) -> pa.Table:
+    """Task UDF: each candidate posting's integer BM25 contribution."""
+    import numpy as np
+
+    if len(batch) == 0:
+        return pa.table(
+            {doc_col: pa.array([], pa.int64()), "contrib": pa.array([], pa.int64())}
+        )
+    idf = resolve(idf_ref)
+    idf_arr = np.array(
+        [idf[t] for t in batch.column("token").to_pylist()], dtype=np.float64
+    )
+    tf = batch.column("tf").to_numpy(zero_copy_only=False).astype(np.float64)
+    dl = batch.column("dl").to_numpy(zero_copy_only=False).astype(np.float64)
+    contrib = np.floor(
+        1000000.0
+        * idf_arr
+        * (tf * (k1 + 1.0))
+        / (tf + k1 * (1.0 - b + b * (dl / avgdl)))
+    ).astype(np.int64)
+    return pa.table(
+        {doc_col: batch.column(doc_col), "contrib": pa.array(contrib, pa.int64())}
+    )
+
+
 def bm25_topk(
     index_dir: str,
     query: str,
@@ -240,7 +268,6 @@ def bm25_topk(
     import json
     import math
 
-    import numpy as np
     import ray
     from ray.data.aggregate import Count, Sum
 
@@ -298,45 +325,18 @@ def bm25_topk(
         t: math.log((n_docs - df_map[t] + 0.5) / (df_map[t] + 0.5) + 1.0)
         for t in df_map
     }
-    idf_ref = ray.put(idf)
-
-    class _Score:
-        def __init__(self):
-            self.idf = ray.get(idf_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if len(batch) == 0:
-                return pa.table(
-                    {
-                        doc_col: pa.array([], pa.int64()),
-                        "contrib": pa.array([], pa.int64()),
-                    }
-                )
-            idf_arr = np.array(
-                [self.idf[t] for t in batch.column("token").to_pylist()],
-                dtype=np.float64,
-            )
-            tf = batch.column("tf").to_numpy(zero_copy_only=False).astype(
-                np.float64
-            )
-            dl = batch.column("dl").to_numpy(zero_copy_only=False).astype(
-                np.float64
-            )
-            contrib = np.floor(
-                1000000.0
-                * idf_arr
-                * (tf * (k1 + 1.0))
-                / (tf + k1 * (1.0 - b + b * (dl / avgdl)))
-            ).astype(np.int64)
-            return pa.table(
-                {
-                    doc_col: batch.column(doc_col),
-                    "contrib": pa.array(contrib, pa.int64()),
-                }
-            )
-
     scored = (
-        cands.map_batches(_Score, concurrency=2, batch_format="pyarrow")
+        cands.map_batches(
+            _bm25_contrib,
+            fn_kwargs={
+                "idf_ref": ray.put(idf),
+                "doc_col": doc_col,
+                "k1": k1,
+                "b": b,
+                "avgdl": avgdl,
+            },
+            batch_format="pyarrow",
+        )
         .groupby(doc_col)
         .aggregate(Sum("contrib", alias_name="score_micro"))
         .sort(["score_micro", doc_col], descending=[True, False])

@@ -19,42 +19,34 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-class _BroadcastJoiner:
-    def __init__(self, lookup_ref, key: str, value_cols: list[str]):
-        import ray
-
-        small: pa.Table = ray.get(lookup_ref).combine_chunks()
-        self.small_keys = small.column(key)
-        self.values = {c: small.column(c) for c in value_cols}
-        self.value_cols = value_cols
-        self.key = key
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        idx = pc.index_in(batch.column(self.key), value_set=self.small_keys)
-        for c in self.value_cols:
-            batch = batch.append_column(c, pc.take(self.values[c], idx))
-        return batch
+from fuzi_rd.broadcast import resolve
 
 
-def broadcast_join(ds, small: pa.Table, key: str, value_cols: list[str],
-                   concurrency=(1, 8)):
+def _lookup_join(batch: pa.Table, lookup_ref, key: str, value_cols: tuple) -> pa.Table:
+    """Task UDF: append ``value_cols`` looked up by ``key`` in the broadcast
+    small table (null where the key is absent)."""
+    small = resolve(lookup_ref)
+    idx = pc.index_in(batch.column(key), value_set=small.column(key))
+    for c in value_cols:
+        batch = batch.append_column(c, pc.take(small.column(c), idx))
+    return batch
+
+
+def broadcast_join(ds, small: pa.Table, key: str, value_cols: list[str]):
     """Join `value_cols` from `small` onto `ds` by `key` without a shuffle.
 
     Left join semantics: unmatched keys get null values (callers filter if
     they need inner-join behavior)."""
     import ray
 
-    lookup_ref = ray.put(small)
     return ds.map_batches(
-        _BroadcastJoiner,
-        fn_constructor_kwargs={
-            "lookup_ref": lookup_ref,
+        _lookup_join,
+        fn_kwargs={
+            "lookup_ref": ray.put(small.combine_chunks()),
             "key": key,
-            "value_cols": value_cols,
+            "value_cols": tuple(value_cols),
         },
         batch_format="pyarrow",
-        concurrency=concurrency,
     )
 
 
@@ -155,6 +147,25 @@ def asof_join(
     return lt.union(rt).groupby(key).map_groups(_merge, batch_format="pyarrow")
 
 
+def _band_rows(
+    batch: pa.Table, ref, value_col: str, lo_col: str, hi_col: str, label_cols: tuple
+) -> pa.Table:
+    """Task UDF: append the ``label_cols`` of the broadcast interval whose
+    [lo, hi) contains each row's ``value_col`` (null outside every one)."""
+    tbl = resolve(ref)
+    lo = tbl.column(lo_col).to_numpy()
+    hi = tbl.column(hi_col).to_numpy()
+    v = batch.column(value_col).to_numpy(zero_copy_only=False)
+    idx = np.searchsorted(lo, v, side="right") - 1
+    safe = np.maximum(idx, 0)
+    ok = pa.array((idx >= 0) & (v < hi[safe]))
+    for c in label_cols:
+        taken = pc.take(tbl.column(c), pa.array(safe))
+        taken = pc.if_else(ok, taken, pa.scalar(None, taken.type))
+        batch = batch.append_column(c, taken)
+    return batch
+
+
 def interval_join(
     ds,
     intervals: pa.Table,
@@ -162,7 +173,6 @@ def interval_join(
     lo_col: str,
     hi_col: str,
     label_cols: list[str],
-    concurrency=(1, 8),
 ):
     """Broadcast range join: label each row with the half-open interval
     [lo, hi) that contains ``row[value_col]``; rows outside every interval
@@ -170,11 +180,10 @@ def interval_join(
     non-overlapping (the banding/classification case).
 
     Scale shape: the interval table is ray.put ONCE and read zero-copy per
-    actor; the big side streams through one vectorized searchsorted per
-    batch — no shuffle at all.  For interval sets too big to broadcast,
-    bucket both sides by a range-partitioned key instead (not needed for
-    banding tables, which are tiny by construction)."""
-    import numpy as np
+    worker process; the big side streams through one vectorized
+    searchsorted per batch — no shuffle at all.  For interval sets too big
+    to broadcast, bucket both sides by a range-partitioned key instead (not
+    needed for banding tables, which are tiny by construction)."""
     import ray
 
     intervals = intervals.sort_by(lo_col).combine_chunks()
@@ -189,30 +198,16 @@ def interval_join(
             return batch
 
         return ds.map_batches(_all_null, batch_format="pyarrow")
-    ref = ray.put(intervals)
-
-    class Bander:
-        def __init__(self):
-            tbl = ray.get(ref)
-            self.lo = tbl.column(lo_col).to_numpy()
-            self.hi = tbl.column(hi_col).to_numpy()
-            self.labels = {c: tbl.column(c) for c in label_cols}
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            v = batch.column(value_col).to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(self.lo, v, side="right") - 1
-            safe = np.maximum(idx, 0)
-            ok = pa.array((idx >= 0) & (v < self.hi[safe]))
-            for c in label_cols:
-                taken = pc.take(self.labels[c], pa.array(safe))
-                batch = batch.append_column(
-                    c,
-                    pc.if_else(ok, taken, pa.scalar(None, taken.type)),
-                )
-            return batch
-
     return ds.map_batches(
-        Bander, batch_format="pyarrow", concurrency=concurrency
+        _band_rows,
+        fn_kwargs={
+            "ref": ray.put(intervals),
+            "value_col": value_col,
+            "lo_col": lo_col,
+            "hi_col": hi_col,
+            "label_cols": tuple(label_cols),
+        },
+        batch_format="pyarrow",
     )
 
 

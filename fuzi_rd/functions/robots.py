@@ -25,6 +25,8 @@ import re
 
 import pyarrow as pa
 
+from fuzi_rd.broadcast import resolve
+
 __all__ = ["RobotsPolicy", "robots_keep", "robots_sitemaps"]
 
 
@@ -105,44 +107,47 @@ class RobotsPolicy:
         return True
 
 
+_HOST_RX = re.compile(
+    r"^[A-Za-z][A-Za-z0-9+.-]*://(?:[^/?#@]*@)?([^/?#:]+)(?::\d+)?([^?#]*)"
+)
+
+
+def _compile_policies(raw: dict[str, str], agent: str) -> dict[str, RobotsPolicy]:
+    return {host: RobotsPolicy(text, agent) for host, text in raw.items()}
+
+
+def _keep_allowed(batch: pa.Table, policies_ref, agent: str, url_col: str) -> pa.Table:
+    """Task UDF: keep the rows whose url the host's policy allows."""
+    compiled = resolve(policies_ref, _compile_policies, agent)
+    mask = []
+    for url in batch.column(url_col).to_pylist():
+        m = _HOST_RX.match(url or "")
+        if not m:
+            mask.append(True)  # relative/unparseable: keep
+            continue
+        pol = compiled.get(m.group(1).lower())
+        mask.append(pol.allowed(m.group(2) or "/") if pol else True)
+    return batch.filter(pa.array(mask, pa.bool_()))
+
+
 def robots_keep(ds, policies: dict[str, str], agent: str = "fuzi", url_col: str = "url"):
     """Drop rows whose url the host's robots.txt disallows for ``agent``.
 
     ``policies``: host -> robots.txt text (the small side; one entry per
-    host).  Hosts with no entry are allowed.  Policies are compiled ONCE
-    per actor in the constructor — not per batch — and the map ships
-    through the object store once.
+    host).  Hosts with no entry are allowed.  The map ships through the
+    object store once, and policies are compiled once per worker process
+    (``broadcast.resolve``), not per batch.
     """
     import ray
 
-    policies_ref = ray.put(policies)
-
-    class _Keep:
-        def __init__(self):
-            raw = ray.get(policies_ref)
-            self.compiled = {
-                host: RobotsPolicy(text, agent) for host, text in raw.items()
-            }
-            self._host_rx = re.compile(
-                r"^[A-Za-z][A-Za-z0-9+.-]*://(?:[^/?#@]*@)?([^/?#:]+)(?::\d+)?([^?#]*)"
-            )
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mask = []
-            for url in batch.column(url_col).to_pylist():
-                m = self._host_rx.match(url or "")
-                if not m:
-                    mask.append(True)  # relative/unparseable: keep
-                    continue
-                pol = self.compiled.get(m.group(1).lower())
-                mask.append(pol.allowed(m.group(2) or "/") if pol else True)
-            return batch.filter(pa.array(mask, pa.bool_()))
-
-    n_cpus = int(ray.cluster_resources().get("CPU", 4))
     return ds.map_batches(
-        _Keep,
+        _keep_allowed,
+        fn_kwargs={
+            "policies_ref": ray.put(policies),
+            "agent": agent,
+            "url_col": url_col,
+        },
         batch_format="pyarrow",
-        concurrency=max(1, int(n_cpus * 0.75)),
     )
 
 

@@ -30,6 +30,8 @@ import hashlib
 
 import pyarrow as pa
 
+from fuzi_rd.broadcast import resolve
+
 __all__ = [
     "stratified_sample_keep",
     "split_assign",
@@ -137,6 +139,26 @@ def _mixture_annotate(
     return annotate
 
 
+def _keep_under_cutoff(batch: pa.Table, cut_ref, source_col: str) -> pa.Table:
+    """Task UDF: keep rows whose bucket is <= their source's broadcast
+    cutoff.  Vectorized: dictionary-encode source (few distinct values per
+    batch), map cutoffs through the dictionary once, then ONE Arrow string
+    comparison per row — no Python zip over rows.  A source with no
+    affordable bucket maps to "" which no 2-hex-char bucket can satisfy."""
+    import pyarrow.compute as pc
+
+    cut: dict[str, str] = resolve(cut_ref)
+    src = batch.column(source_col)
+    if isinstance(src, pa.ChunkedArray):
+        src = src.combine_chunks()
+    enc = src.dictionary_encode()
+    cut_by_code = pa.array(
+        [cut.get(v, "") for v in enc.dictionary.to_pylist()], pa.string()
+    )
+    mask = pc.less_equal(batch.column("bucket"), cut_by_code.take(enc.indices))
+    return batch.filter(mask).drop_columns(["bucket"])
+
+
 def mixture_token_sample(
     ds,
     budgets: dict[str, int] | int,
@@ -209,35 +231,10 @@ def mixture_token_sample(
             if cum > budget_for(src):
                 break
             cutoffs[src] = bucket
-    cut_ref = ray.put(cutoffs)
-
-    class _Keep:
-        def __init__(self):
-            self.cut: dict[str, str] = ray.get(cut_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            # vectorized: dictionary-encode source (few distinct values per
-            # batch), map cutoffs through the dictionary once, then ONE
-            # Arrow string comparison per row — no Python zip over rows.
-            # A source with no affordable bucket maps to "" which no
-            # 2-hex-char bucket can satisfy.
-            import pyarrow.compute as pc
-
-            cut = self.cut
-            src = batch.column(source_col)
-            if isinstance(src, pa.ChunkedArray):
-                src = src.combine_chunks()
-            enc = src.dictionary_encode()
-            cut_by_code = pa.array(
-                [cut.get(v, "") for v in enc.dictionary.to_pylist()],
-                pa.string(),
-            )
-            row_cut = cut_by_code.take(enc.indices)
-            mask = pc.less_equal(batch.column("bucket"), row_cut)
-            return batch.filter(mask).drop_columns(["bucket"])
-
     return ds.map_batches(annotate, batch_format="pyarrow").map_batches(
-        _Keep, batch_format="pyarrow", concurrency=(1, 8)
+        _keep_under_cutoff,
+        fn_kwargs={"cut_ref": ray.put(cutoffs), "source_col": source_col},
+        batch_format="pyarrow",
     )
 
 

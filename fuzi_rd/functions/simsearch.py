@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from fuzi_rd.broadcast import resolve
+
 
 def _batch_matrix(batch: pa.Table) -> np.ndarray:
     col = batch.column("embedding")
@@ -33,30 +35,29 @@ def _cosine_scores(mat: np.ndarray, query: np.ndarray) -> np.ndarray:
     return (mat @ query) / norms
 
 
-class PartialTopK:
-    """map_batches class: emits each batch's local top-k (vec_id, sim)."""
+def partial_topk(batch: pa.Table, query_ref, k: int) -> pa.Table:
+    """Task UDF: this batch's local top-k (vec_id, sim) against the
+    broadcast query vector."""
+    sims = _cosine_scores(_batch_matrix(batch), resolve(query_ref))
+    k = min(k, len(sims))
+    idx = np.argpartition(-sims, k - 1)[:k] if k else np.array([], dtype=int)
+    return pa.table(
+        {
+            "vec_id": batch.column("vec_id").take(pa.array(idx)),
+            "sim": pa.array(sims[idx], pa.float64()),
+        }
+    )
 
-    def __init__(self, query_ref, k: int):
-        import ray
 
-        # ray.put once in the driver; ray.get here is zero-copy shared memory
-        self.query = np.asarray(
-            ray.get(query_ref) if not isinstance(query_ref, np.ndarray) else query_ref,
-            dtype=np.float64,
-        )
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mat = _batch_matrix(batch)
-        sims = _cosine_scores(mat, self.query)
-        k = min(self.k, len(sims))
-        idx = np.argpartition(-sims, k - 1)[:k] if k else np.array([], dtype=int)
-        return pa.table(
-            {
-                "vec_id": batch.column("vec_id").take(pa.array(idx)),
-                "sim": pa.array(sims[idx], pa.float64()),
-            }
-        )
+def _merged_topk(partial, k: int) -> list[dict]:
+    """Global top-k of per-batch partial results: descending similarity,
+    vec_id ascending tiebreak (deterministic)."""
+    rows = partial.take_all()  # O(num_batches * k) rows only
+    rows.sort(key=lambda r: (-r["sim"], r["vec_id"]))
+    return [
+        {"rank": i + 1, "vec_id": r["vec_id"], "sim": r["sim"]}
+        for i, r in enumerate(rows[:k])
+    ]
 
 
 def brute_force_topk(ds, query: np.ndarray, k: int = 10) -> list[dict]:
@@ -66,17 +67,9 @@ def brute_force_topk(ds, query: np.ndarray, k: int = 10) -> list[dict]:
 
     query_ref = ray.put(np.asarray(query, dtype=np.float64))
     partial = ds.map_batches(
-        PartialTopK,
-        fn_constructor_kwargs={"query_ref": query_ref, "k": k},
-        batch_format="pyarrow",
-        concurrency=(1, 8),
+        partial_topk, fn_kwargs={"query_ref": query_ref, "k": k}, batch_format="pyarrow"
     )
-    rows = partial.take_all()  # O(num_batches * k) rows only
-    rows.sort(key=lambda r: (-r["sim"], r["vec_id"]))
-    return [
-        {"rank": i + 1, "vec_id": r["vec_id"], "sim": r["sim"]}
-        for i, r in enumerate(rows[:k])
-    ]
+    return _merged_topk(partial, k)
 
 
 # -- IVF variant (scale path) ------------------------------------------------
@@ -107,6 +100,14 @@ def _kmeans(sample: np.ndarray, k: int, iters: int = 10) -> np.ndarray:
     return cents
 
 
+def _assign_bucket(batch: pa.Table, cents_ref) -> pa.Table:
+    """Task UDF: append each row's nearest-centroid ``bucket``."""
+    cents = resolve(cents_ref)
+    mat = _batch_matrix(batch)
+    d2 = ((mat[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+    return batch.append_column("bucket", pa.array(d2.argmin(axis=1), pa.int32()))
+
+
 def build_ivf_assignments(ds, n_centroids: int = 16, sample_size: int = 2048):
     """IVF index build: sample -> k-means centroids (driver-side, tiny) ->
     broadcast centroids -> per-batch nearest-centroid assignment.
@@ -121,20 +122,9 @@ def build_ivf_assignments(ds, n_centroids: int = 16, sample_size: int = 2048):
         [np.asarray(r["embedding"], dtype=np.float64) for r in sample_rows]
     )
     cents = _kmeans(sample, n_centroids)
-    cents_ref = ray.put(cents)
-
-    class Assign:
-        def __init__(self):
-            self.cents = ray.get(cents_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mat = _batch_matrix(batch)
-            d2 = ((mat[:, None, :] - self.cents[None, :, :]) ** 2).sum(axis=2)
-            return batch.append_column(
-                "bucket", pa.array(d2.argmin(axis=1), pa.int32())
-            )
-
-    return cents, ds.map_batches(Assign, batch_format="pyarrow", concurrency=(1, 8))
+    return cents, ds.map_batches(
+        _assign_bucket, fn_kwargs={"cents_ref": ray.put(cents)}, batch_format="pyarrow"
+    )
 
 
 def ivf_topk(
@@ -153,21 +143,7 @@ def ivf_topk(
     probe = set(int(b) for b in np.argsort(d2)[:nprobe])
 
     filtered = assigned.filter(expr=f"bucket in {sorted(probe)}")
-    import ray
-
-    query_ref = ray.put(query)
-    partial = filtered.map_batches(
-        PartialTopK,
-        fn_constructor_kwargs={"query_ref": query_ref, "k": k},
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
-    rows = partial.take_all()
-    rows.sort(key=lambda r: (-r["sim"], r["vec_id"]))
-    return [
-        {"rank": i + 1, "vec_id": r["vec_id"], "sim": r["sim"]}
-        for i, r in enumerate(rows[:k])
-    ]
+    return brute_force_topk(filtered, query, k)
 
 
 # -- LSH variant (scale path) ------------------------------------------------
@@ -189,6 +165,32 @@ def _signature(planes: np.ndarray, v: np.ndarray) -> int:
     return out
 
 
+def _bucket_scan(batch: pa.Table, ref, qsig: int, max_hamming: int) -> pa.Table:
+    """Task UDF: (vec_id, sim) of the rows whose hyperplane signature is
+    within ``max_hamming`` bits of the query's."""
+    query, planes = resolve(ref)
+    mat = _batch_matrix(batch)
+    bits = (mat @ planes.T) > 0
+    sigs = (bits * (1 << np.arange(_N_PLANES))).sum(axis=1).astype(np.int64)
+    # vectorized popcount: one C-level unpackbits pass over the
+    # xored signatures (np.vectorize here cost O(batch) Python calls)
+    x = (sigs ^ np.int64(qsig)).astype(np.uint64)
+    ham = np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(
+        axis=1, dtype=np.int64
+    )
+    idx = np.nonzero(ham <= max_hamming)[0]
+    if len(idx) == 0:
+        return pa.table(
+            {"vec_id": pa.array([], pa.int64()), "sim": pa.array([], pa.float64())}
+        )
+    return pa.table(
+        {
+            "vec_id": batch.column("vec_id").take(pa.array(idx)),
+            "sim": pa.array(_cosine_scores(mat[idx], query), pa.float64()),
+        }
+    )
+
+
 def lsh_topk(ds, query: np.ndarray, k: int = 10, max_hamming: int = 2) -> list[dict]:
     """Approximate top-k: scan only vectors whose hyperplane signature is
     within `max_hamming` bits of the query's.  Recall/latency tradeoff is
@@ -199,46 +201,16 @@ def lsh_topk(ds, query: np.ndarray, k: int = 10, max_hamming: int = 2) -> list[d
     dim = len(query)
     planes = _planes(dim)
     qsig = _signature(planes, query)
-    query_ref = ray.put(query)
-    planes_ref = ray.put(planes)
-
-    class BucketScan:
-        def __init__(self):
-            self.query = ray.get(query_ref)
-            self.planes = ray.get(planes_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mat = _batch_matrix(batch)
-            bits = (mat @ self.planes.T) > 0
-            sigs = (bits * (1 << np.arange(_N_PLANES))).sum(axis=1).astype(np.int64)
-            # vectorized popcount: one C-level unpackbits pass over the
-            # xored signatures (np.vectorize here cost O(batch) Python calls)
-            x = (sigs ^ np.int64(qsig)).astype(np.uint64)
-            ham = np.unpackbits(
-                x.view(np.uint8).reshape(len(x), 8), axis=1
-            ).sum(axis=1, dtype=np.int64)
-            mask = ham <= max_hamming
-            idx = np.nonzero(mask)[0]
-            if len(idx) == 0:
-                return pa.table(
-                    {"vec_id": pa.array([], pa.int64()), "sim": pa.array([], pa.float64())}
-                )
-            sims = _cosine_scores(mat[idx], self.query)
-            return pa.table(
-                {
-                    "vec_id": batch.column("vec_id").take(pa.array(idx)),
-                    "sim": pa.array(sims, pa.float64()),
-                }
-            )
-
-    rows = ds.map_batches(
-        BucketScan, batch_format="pyarrow", concurrency=(1, 8)
-    ).take_all()
-    rows.sort(key=lambda r: (-r["sim"], r["vec_id"]))
-    return [
-        {"rank": i + 1, "vec_id": r["vec_id"], "sim": r["sim"]}
-        for i, r in enumerate(rows[:k])
-    ]
+    partial = ds.map_batches(
+        _bucket_scan,
+        fn_kwargs={
+            "ref": ray.put((query, planes)),
+            "qsig": qsig,
+            "max_hamming": max_hamming,
+        },
+        batch_format="pyarrow",
+    )
+    return _merged_topk(partial, k)
 
 
 def embedding_outliers(ds, n_centroids: int = 8, top_n: int = 50, sample_size: int = 2048):

@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from fuzi_rd.broadcast import resolve
+
 # lowercase alpha runs; everything else is a separator.  Matches the oracle
 # `regexp_split_to_array(lower(text), '[^a-z]+')` exactly (both RE2 on UTF-8).
 TOKEN_SPLIT_PATTERN = "[^a-z]+"
@@ -184,6 +186,42 @@ def approx_distinct(ds, col: str, split_tokens: bool = False):
     return _hll_estimate(result["hll"])
 
 
+def _tfidf_rows(
+    batch: pa.Table, idf_ref, k: int, id_col: str, text_col: str
+) -> pa.Table:
+    """Task UDF: each document's top-``k`` (token, tf, score_milli, rnk)
+    rows against the idf map, resolved once per worker process."""
+    import re
+
+    idf = resolve(idf_ref)
+    ids = batch.column(id_col).to_pylist()
+    texts = batch.column(text_col).to_pylist()
+    out = {"doc_id": [], "token": [], "tf": [], "score_milli": [], "rnk": []}
+    split = re.compile(TOKEN_SPLIT_PATTERN)
+    for did, text in zip(ids, texts):
+        tf: dict[str, int] = {}
+        for t in split.split((text or "").lower()):
+            if t:
+                tf[t] = tf.get(t, 0) + 1
+        scored = [(t, c, c * idf[t]) for t, c in tf.items() if t in idf]
+        scored.sort(key=lambda x: (-x[2], x[0]))
+        for rnk, (t, c, s) in enumerate(scored[:k], start=1):
+            out["doc_id"].append(did)
+            out["token"].append(t)
+            out["tf"].append(c)
+            out["score_milli"].append(s)
+            out["rnk"].append(rnk)
+    return pa.table(
+        {
+            "doc_id": pa.array(out["doc_id"], pa.int64()),
+            "token": pa.array(out["token"], pa.string()),
+            "tf": pa.array(out["tf"], pa.int64()),
+            "score_milli": pa.array(out["score_milli"], pa.int64()),
+            "rnk": pa.array(out["rnk"], pa.int64()),
+        }
+    )
+
+
 def tfidf_topk(
     ds,
     k: int = 5,
@@ -203,8 +241,8 @@ def tfidf_topk(
        crawl scale (tokens outside the cap simply don't rank — they are
        the rare tail whose idf would dominate noise anyway).
     2. **Score**: the idf map crosses the cluster ONCE via ``ray.put``;
-       an actor pool scores batches locally and emits at most ``k`` rows
-       per document.  No shuffle ever carries a per-occurrence token row.
+       task UDFs score batches locally and emit at most ``k`` rows per
+       document.  No shuffle ever carries a per-occurrence token row.
 
     Scores are integer fixed-point — ``tf * floor(1000 * ln(n_docs/df))``
     milli-nats — so ranking and the DuckDB oracle cannot drift by float
@@ -222,51 +260,16 @@ def tfidf_topk(
         r["token"]: math.floor(1000.0 * math.log(n_docs / r["df"]))
         for r in df_tbl.iter_rows()
     }
-    idf_ref = ray.put(idf_milli)
-
-    class _Score:
-        def __init__(self):
-            self.idf = ray.get(idf_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import re
-
-            idf = self.idf
-            ids = batch.column(id_col).to_pylist()
-            texts = batch.column(text_col).to_pylist()
-            out = {"doc_id": [], "token": [], "tf": [], "score_milli": [], "rnk": []}
-            split = re.compile(TOKEN_SPLIT_PATTERN)
-            for did, text in zip(ids, texts):
-                tf: dict[str, int] = {}
-                for t in split.split((text or "").lower()):
-                    if t:
-                        tf[t] = tf.get(t, 0) + 1
-                scored = [
-                    (t, c, c * idf[t]) for t, c in tf.items() if t in idf
-                ]
-                scored.sort(key=lambda x: (-x[2], x[0]))
-                for rnk, (t, c, s) in enumerate(scored[:k], start=1):
-                    out["doc_id"].append(did)
-                    out["token"].append(t)
-                    out["tf"].append(c)
-                    out["score_milli"].append(s)
-                    out["rnk"].append(rnk)
-            return pa.table(
-                {
-                    "doc_id": pa.array(out["doc_id"], pa.int64()),
-                    "token": pa.array(out["token"], pa.string()),
-                    "tf": pa.array(out["tf"], pa.int64()),
-                    "score_milli": pa.array(out["score_milli"], pa.int64()),
-                    "rnk": pa.array(out["rnk"], pa.int64()),
-                }
-            )
-
-    n_cpus = int(ray.cluster_resources().get("CPU", 4))
     return ds.map_batches(
-        _Score,
+        _tfidf_rows,
+        fn_kwargs={
+            "idf_ref": ray.put(idf_milli),
+            "k": k,
+            "id_col": id_col,
+            "text_col": text_col,
+        },
         batch_format="pyarrow",
         batch_size=1024,
-        concurrency=max(1, int(n_cpus * 0.75)),
     )
 
 

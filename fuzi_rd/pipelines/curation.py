@@ -49,7 +49,7 @@ def curate_dataset(
     filter pass consumes it again (lazy plans re-execute per consumer) —
     feed this from a checkpointed corpus (``run_corpus`` output or the
     ``_checkpoint`` dir), exactly like corpus.py checkpoints before dedup;
-    a raw extraction upstream would run its actor pool twice.
+    a raw extraction upstream would run twice.
     """
 
     def annotate_and_gate(batch: pa.Table) -> pa.Table:

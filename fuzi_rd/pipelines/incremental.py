@@ -18,7 +18,7 @@ Scale shape:
      re-execute upstream per consumer and can wedge; see dedup._compact);
   4. ``same`` urls semi-join the PREVIOUS extraction output (reuse —
      no parse); ``added``/``changed`` urls semi-join the new page table
-     and flow through the normal extractor actor pool;
+     and flow through the normal extraction tasks;
   5. the union streams to the caller/sink.
 
 Invariant (pinned by tests/test_incremental.py): the result is row-for-row
@@ -100,7 +100,7 @@ def incremental_extract(
 
     # the page table is flat (url, html binary): plain hash semi-join.
     # Compacted so the join's aggregator actors never share a plan with the
-    # extractor actor pool (that composition deadlocks on small CPU counts;
+    # extraction (that composition once deadlocked small CPU counts;
     # block refs stay in the object store, which spills — at crawl scale a
     # parquet checkpoint à la pipelines/corpus.py is the durable variant).
     todo_pages = _compact(

@@ -1,10 +1,11 @@
-"""XML query stage: a Ray Data ``map_batches`` actor-pool class for
-structured XML corpora (feeds, sitemaps, metadata records).
+"""XML query stage for structured XML corpora (feeds, sitemaps, metadata
+records), run as Ray Data tasks.
 
-The XML twin of ``ExtractPages`` — same actor-held warm state (compiled
-XPath ASTs + namespace prefix map, the Ray analog of the reference's
-``XMLActor`` owning parser/query state, /root/reference/Sources/Actor.swift:136-167),
-driven by the recovering XML parser instead of the HTML tokenizer.
+The XML twin of ``extract_pages``: each worker process keeps its compiled
+XPath ASTs and namespace prefix map warm in a ``functools.lru_cache``, the
+Ray analog of the reference's ``XMLActor`` owning parser/query state
+(reference Sources/Actor.swift:136-167), driven by the recovering XML
+parser instead of the HTML tokenizer.
 
 Recipe values are XPath 1.0 expressions (no CSS here; XML corpora are
 queried by path + namespace).  Each named query becomes one output column:
@@ -16,6 +17,8 @@ stringified.  A per-pipeline ``prefixes`` dict mirrors
 
 from __future__ import annotations
 
+import functools
+
 import pyarrow as pa
 
 from fuzi_rd.errors import FuziError
@@ -24,9 +27,8 @@ from fuzi_rd.xpath import compile_xpath, evaluate, string_value
 
 
 class QueryXml:
-    """``ds.map_batches(QueryXml, fn_constructor_kwargs={"recipe": {...},
-    "prefixes": {...}, "key": "doc_id"}, batch_format="pyarrow",
-    concurrency=N)``.
+    """In-process callable: ``QueryXml(recipe, prefixes)(batch)``.  Use
+    :func:`query_xml_dataset` to run it over a Dataset.
 
     Input: ``key`` column (passthrough) + ``xml`` binary column.
     Output: key, one large_string column per recipe entry, status, error.
@@ -74,6 +76,32 @@ class QueryXml:
         out["status"] = pa.array(status, pa.string())
         out["error"] = pa.array(error, pa.string())
         return pa.table(out)
+
+
+@functools.lru_cache(maxsize=8)
+def _warm_query(recipe: tuple, prefixes: tuple) -> QueryXml:
+    """This worker process's compiled ``QueryXml`` for one recipe."""
+    return QueryXml(dict(recipe), dict(prefixes))
+
+
+def query_xml(batch: pa.Table, recipe: tuple, prefixes: tuple) -> pa.Table:
+    """Task UDF: run the process-warm ``QueryXml`` for this recipe over
+    (doc_id, xml) rows."""
+    return _warm_query(recipe, prefixes)(batch)
+
+
+def query_xml_dataset(ds, recipe: dict[str, str], prefixes: dict[str, str] | None = None):
+    """Wire :func:`query_xml` onto a (doc_id, xml) Dataset as Ray Data tasks
+    (lazy)."""
+    return ds.map_batches(
+        query_xml,
+        fn_kwargs={
+            "recipe": tuple(recipe.items()),
+            "prefixes": tuple((prefixes or {}).items()),
+        },
+        batch_size=64,
+        batch_format="pyarrow",
+    )
 
 
 def synth_feed_table(n_rows: int, start: int = 0) -> pa.Table:

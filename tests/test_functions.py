@@ -1095,7 +1095,7 @@ def test_broadcast_join(ray_session):
         }
     )
     out = broadcast_join(
-        ray.data.from_arrow(big), small, "k", ["name", "x10"], concurrency=(1, 2)
+        ray.data.from_arrow(big), small, "k", ["name", "x10"]
     ).take_all()
     by_v = {r["v"]: r for r in out}
     assert by_v["a"]["name"] == "one" and by_v["a"]["x10"] == 10
@@ -1412,8 +1412,7 @@ def test_media_resize_plumbing(ray_session):
 
     ds = ray.data.from_arrow(multimodal.synth_media_table(20))
     out = ds.map_batches(
-        multimodal.ResizeImage, batch_size=8, batch_format="pyarrow",
-        concurrency=(1, 2),
+        multimodal.ResizeImage(), batch_size=8, batch_format="pyarrow"
     ).take_all()
     assert len(out) == 20
     assert all(r["width"] <= 512 and r["height"] <= 512 for r in out)
@@ -1447,16 +1446,14 @@ def test_media_decode_plumbing(ray_session):
 
     ds = ray.data.from_arrow(multimodal.synth_media_table(30))
     out = ds.map_batches(
-        multimodal.DecodeImage, batch_size=8, batch_format="pyarrow",
-        concurrency=(1, 2),
+        multimodal.DecodeImage(), batch_size=8, batch_format="pyarrow"
     ).take_all()
     assert len(out) == 30
     assert all(r["decode_ok"] for r in out)
     assert all(64 <= r["width"] for r in out)
     # deterministic: same payload -> same fake decode
     again = ds.map_batches(
-        multimodal.DecodeImage, batch_size=8, batch_format="pyarrow",
-        concurrency=(1, 2),
+        multimodal.DecodeImage(), batch_size=8, batch_format="pyarrow"
     ).take_all()
     assert sorted(map(str, out)) == sorted(map(str, again))
 
@@ -1471,8 +1468,7 @@ def test_frame_sampling_expands_rows(ray_session):
 
     ds = ray.data.from_arrow(multimodal.synth_media_table(10))
     out = ds.map_batches(
-        multimodal.SampleFrames, batch_size=4, batch_format="pyarrow",
-        concurrency=(1, 2),
+        multimodal.SampleFrames(), batch_size=4, batch_format="pyarrow"
     ).take_all()
     assert len(out) >= 10
     assert {"media_id", "frame_index", "frame"} == set(out[0])
@@ -1728,3 +1724,163 @@ def test_compact_drops_empty_blocks_without_driver_fetch(ray_session):
     joined = compacted.join(other, join_type="inner", num_partitions=4,
                             on=("k",))
     assert joined.count() == 2
+
+
+_ONE_CPU_QUERY = """
+import json
+import sys
+
+import numpy as np
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False)
+from fuzi_rd.functions.lm_score import unigram_logprob
+from fuzi_rd.functions.robots import robots_keep
+from fuzi_rd.functions.sampling import mixture_token_sample
+from fuzi_rd.functions.simsearch import brute_force_topk
+
+stage, data = sys.argv[1:]
+if stage == "robots_keep":
+    ds = ray.data.read_parquet(data, columns=["url"])
+    result = robots_keep(ds, {"fixtures.test": "User-agent: *\\nDisallow: /1"}).count()
+elif stage == "mixture_token_sample":
+    result = mixture_token_sample(ray.data.read_parquet(data), 3000).count()
+elif stage == "unigram_logprob":
+    result = unigram_logprob(ray.data.read_parquet(data)).count()
+else:
+    query = np.random.RandomState(3).standard_normal((2000, 16))[7]
+    hits = brute_force_topk(ray.data.read_parquet(data), query, k=5)
+    result = [r["vec_id"] for r in hits]
+print("stage_result", json.dumps(result), flush=True)
+ray.shutdown()
+"""
+
+
+def _write_one_cpu_input(stage: str, out_dir) -> object:
+    """2000 rows of parquet input in 4 files for ``stage``; returns what
+    the stage must produce from them."""
+    import pyarrow.parquet as pq
+
+    from fuzi_rd.sources.pages import write_pages_parquet
+
+    if stage == "robots_keep":
+        from urllib.parse import urlparse
+
+        from fuzi_rd.functions.robots import RobotsPolicy
+        from fuzi_rd.sources.pages import pages_table
+
+        write_pages_parquet(str(out_dir), 2000, rows_per_file=500)
+        policy = RobotsPolicy("User-agent: *\nDisallow: /1", "fuzi")
+        urls = pages_table(2000).column("url").to_pylist()
+        return sum(policy.allowed(urlparse(u).path) for u in urls)
+    out_dir.mkdir()
+    if stage == "brute_force_topk":
+        mat = np.random.RandomState(3).standard_normal((2000, 16))
+        tbl = pa.table(
+            {
+                "vec_id": pa.array(range(2000), pa.int64()),
+                "embedding": pa.array([v.tolist() for v in mat], pa.list_(pa.float64())),
+            }
+        )
+        sims = (mat @ mat[7]) / (np.linalg.norm(mat, axis=1) * np.linalg.norm(mat[7]))
+        expected = np.argsort(-sims, kind="stable")[:5].tolist()
+    else:
+        texts = [
+            " ".join(f"w{(i * 7 + j) % 50}" for j in range(i % 20)) for i in range(2000)
+        ]
+        tbl = pa.table(
+            {
+                "doc_id": pa.array(range(2000), pa.int64()),
+                "source": pa.array([f"s{i % 4}" for i in range(2000)], pa.string()),
+                "text": pa.array(texts, pa.string()),
+            }
+        )
+        expected = sum(1 for t in texts if t)  # unigram: zero-token docs drop
+    for k in range(4):
+        pq.write_table(tbl.slice(500 * k, 500), out_dir / f"part-{k}.parquet")
+    return expected
+
+
+@pytest.mark.parametrize(
+    "stage",
+    ["robots_keep", "mixture_token_sample", "unigram_logprob", "brute_force_topk"],
+)
+def test_one_cpu_session_query_stage(tmp_path, stage):
+    """A Ray session with one logical CPU must finish each query-tier stage
+    over parquet input: a min-1 actor pool once took the only CPU, so the
+    read tasks feeding it never ran.  The job runs in a child process so a
+    hang cannot wedge this one."""
+    import json
+    import os
+    import pathlib
+    import re
+    import signal
+    import subprocess
+    import sys
+
+    root = str(pathlib.Path(__file__).resolve().parents[1])
+    data = tmp_path / "data"
+    expected = _write_one_cpu_input(stage, data)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    with open(tmp_path / "child.log", "w+") as log:
+        child = subprocess.Popen(
+            [sys.executable, "-c", _ONE_CPU_QUERY, stage, str(data)],
+            cwd=root, env=env, stdout=log, stderr=subprocess.STDOUT,
+            start_new_session=True,
+        )
+        try:
+            child.wait(timeout=180)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+            pytest.fail(f"{stage} with 1 logical CPU ran past 180 s")
+        log.seek(0)
+        output = log.read()
+        assert child.returncode == 0, output[-2000:]
+    result = json.loads(re.search(r"stage_result (.*)", output).group(1))
+    if stage == "mixture_token_sample":
+        assert 0 < result < 2000  # the budget keeps part of every source
+    else:
+        assert result == expected
+
+
+def test_broadcast_state_built_once_per_process_and_ref(ray_session, monkeypatch):
+    """A stage UDF resolves its broadcast ref and builds its state once per
+    worker process.  Each task unpickles the UDF's arguments afresh, so the
+    UDF is called twice after cloudpickle round-trips: a cache keyed on a
+    per-task object (a closure) would build twice."""
+    import cloudpickle
+    import ray
+
+    from fuzi_rd import broadcast
+    from fuzi_rd.functions import robots
+
+    builds = []
+    compile_policies = robots._compile_policies
+
+    def counting(raw, agent):
+        builds.append(agent)
+        return compile_policies(raw, agent)
+
+    monkeypatch.setattr(robots, "_compile_policies", counting)
+    broadcast.resolve.cache_clear()
+    urls = ["https://a.test/x/1", "https://a.test/y", "https://b.test/x"]
+    batch = pa.table({"url": urls})
+    kwargs = {
+        "policies_ref": ray.put({"a.test": "User-agent: *\nDisallow: /x"}),
+        "agent": "fuzi",
+        "url_col": "url",
+    }
+    try:
+        for _ in range(2):
+            fn, kw = cloudpickle.loads(cloudpickle.dumps((robots._keep_allowed, kwargs)))
+            assert fn(batch, **kw).column("url").to_pylist() == urls[1:]
+        assert builds == ["fuzi"]
+        # a new ref is new state
+        kwargs["policies_ref"] = ray.put({"b.test": "User-agent: *\nDisallow: /"})
+        fn, kw = cloudpickle.loads(cloudpickle.dumps((robots._keep_allowed, kwargs)))
+        assert fn(batch, **kw).column("url").to_pylist() == urls[:2]
+        assert builds == ["fuzi", "fuzi"]
+    finally:
+        broadcast.resolve.cache_clear()

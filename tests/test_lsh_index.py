@@ -126,3 +126,25 @@ def test_lsh_build_idempotent_and_crash_safe(tmp_path):
     build_lsh_index(ds, str(out), n_buckets=4)
     assert (out / "_DONE").exists()
     assert len(list((out / "bands").rglob("*.parquet"))) == n_before
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_lsh_lookup_rejects_duplicate_query_ids(tmp_path):
+    """Query signatures are keyed by id: two queries sharing one id would
+    collapse to the last signature, so the lookup must refuse them."""
+    import ray
+
+    from fuzi_rd.functions.lsh_index import build_lsh_index, lsh_lookup
+
+    ds = ray.data.read_parquet(
+        SF_DIR + "/documents.parquet", columns=["doc_id", "text"]
+    ).limit(50)
+    idx = build_lsh_index(ds, str(tmp_path / "lsh"), n_buckets=4)
+    queries = pa.table(
+        {
+            "query_id": pa.array([7, 7], pa.int64()),
+            "text": pa.array(["first query text here", "a different one"], pa.string()),
+        }
+    )
+    with pytest.raises(ValueError, match="duplicate query_id"):
+        lsh_lookup(idx, ray.data.from_arrow(queries), n_buckets=4)

@@ -3,7 +3,7 @@ namespaced XPath recipes, scalar results, poison-pill tolerance."""
 
 import pyarrow as pa
 
-from fuzi_rd.stages.xml_query import QueryXml, synth_feed_table
+from fuzi_rd.stages.xml_query import QueryXml, query_xml_dataset, synth_feed_table
 
 RECIPE = {
     "feed_title": "/a:feed/a:title",
@@ -56,13 +56,7 @@ def test_query_xml_ray(ray_session):
     import ray
 
     ds = ray.data.from_arrow(synth_feed_table(100))
-    out = ds.map_batches(
-        QueryXml,
-        fn_constructor_kwargs={"recipe": RECIPE, "prefixes": PREFIXES},
-        batch_size=32,
-        batch_format="pyarrow",
-        concurrency=(1, 2),
-    ).take_all()
+    out = query_xml_dataset(ds, RECIPE, PREFIXES).take_all()
     assert len(out) == 100
     assert all(r["status"] == "ok" for r in out)
     by_id = {r["doc_id"]: r for r in out}
