@@ -1323,7 +1323,8 @@ def _q_lsh_serving_lookup(sf_dir: str):
 
     tier = pathlib.Path(sf_dir).name or "sf"
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    idx = build_lsh_index(ds, f"/tmp/fuzi_rd_lsh_idx_{tier}")
+    # v2 layout: _DONE records the build's n_buckets
+    idx = build_lsh_index(ds, f"/tmp/fuzi_rd_lsh_idx_v2_{tier}")
 
     def _queries(b):
         ids = b.column("doc_id")
@@ -1718,8 +1719,8 @@ def _q_corpus_job(sf_dir: str):
     out = f"/tmp/fuzi_rd_corpus_job_{tier}"
     shutil.rmtree(out, ignore_errors=True)
     run_corpus(pages, out, num_parts=32, batch_size=64, resume=False)
-    return ray.data.read_parquet(out).select_columns(
-        ["url", "title", "text_len", "lang_guess", "content_hash"]
+    return ray.data.read_parquet(
+        out, columns=["url", "title", "text_len", "lang_guess", "content_hash"]
     )
 
 
@@ -1749,8 +1750,9 @@ def _q_postings_lookup(sf_dir: str):
 
     tier = pathlib.Path(sf_dir).name or "sf"
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    # v2 layout: postings rows carry dl + a _STATS sidecar (BM25 support)
-    idx = build_postings(ds, f"/tmp/fuzi_rd_postings_v2_{tier}")
+    # v3 layout: postings rows carry dl + a _STATS sidecar (BM25 support)
+    # that records the build's n_buckets
+    idx = build_postings(ds, f"/tmp/fuzi_rd_postings_v3_{tier}")
     return lookup_token(idx, "the")
 
 
@@ -1767,7 +1769,7 @@ def _q_bm25_topk(sf_dir: str):
 
     tier = pathlib.Path(sf_dir).name or "sf"
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    idx = build_postings(ds, f"/tmp/fuzi_rd_postings_v2_{tier}")
+    idx = build_postings(ds, f"/tmp/fuzi_rd_postings_v3_{tier}")
     return bm25_topk(idx, "hash join merge", k=10)
 
 
@@ -1960,7 +1962,7 @@ def _q_curation_pipeline(sf_dir: str):
     out = f"/tmp/fuzi_rd_corpus_job_{tier}"
     if not pathlib.Path(out, "_manifests").is_dir():
         run_corpus(pages, out, num_parts=32, batch_size=64, resume=False)
-    corpus = ray.data.read_parquet(out)
+    corpus = ray.data.read_parquet(out, columns=["url", "extracted_text", "lang_guess"])
     curated = curate_dataset(corpus, cap=40)
     return curated.select_columns(
         ["url", "lang_guess", "domain", "compress_milli", "dup_ngram_milli"]

@@ -39,7 +39,10 @@ Scale shape (100 TB):
 
 Crash-safe build: temp-dir + rename + ``_DONE`` marker, identical to
 `build_postings` (postings.py:120-165) — a run that dies mid-write never
-leaves partial bucket files behind.
+leaves partial bucket files behind.  ``_DONE`` is JSON holding the build's
+``n_buckets``, which ``lsh_lookup`` reads, so a lookup always probes the
+directories the build wrote.  A corpus with no non-empty text builds a
+valid empty index.
 
 Similarity is reported EXACTLY as integers so tests and twins can pin it:
 ``n_agree`` = number of agreeing minhash positions (0..64), and
@@ -51,6 +54,7 @@ E[agree/N_PERM] = Jaccard.  The threshold keeps pairs with
 from __future__ import annotations
 
 import hashlib
+import json
 import pathlib
 
 import numpy as np
@@ -156,19 +160,22 @@ def build_lsh_index(
         return str(out)
     tmp = out.with_name(out.name + "._building")
     shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir(parents=True)
 
     sigs = ds.map_batches(
         _sig_batch(doc_col, text_col, n_buckets), batch_format="pyarrow"
     )
     sigs.write_parquet(str(tmp / "sigs"), partition_cols=["sbucket"])
     # bands derive from the persisted signatures — the text never flows
-    # twice, and this read-back is 520 B/doc of fixed-width columns.
-    ray.data.read_parquet(
-        str(tmp / "sigs"), columns=["doc_id", "sig"]
-    ).map_batches(_bands_from_sigs(n_buckets), batch_format="pyarrow").write_parquet(
-        str(tmp / "bands"), partition_cols=["bucket"]
-    )
-    (tmp / "_DONE").write_bytes(b"")
+    # twice, and this read-back is 520 B/doc of fixed-width columns.  No
+    # signature written (no non-empty text) leaves an empty index.
+    if (tmp / "sigs").is_dir():
+        ray.data.read_parquet(
+            str(tmp / "sigs"), columns=["doc_id", "sig"]
+        ).map_batches(_bands_from_sigs(n_buckets), batch_format="pyarrow").write_parquet(
+            str(tmp / "bands"), partition_cols=["bucket"]
+        )
+    (tmp / "_DONE").write_text(json.dumps({"n_buckets": n_buckets}))
     if out.exists():  # stale partial build (no _DONE): replace it
         shutil.rmtree(out)
     tmp.rename(out)
@@ -235,7 +242,6 @@ def lsh_lookup(
     threshold: float = 0.7,
     query_col: str = "query_id",
     text_col: str = "text",
-    n_buckets: int = DEFAULT_N_BUCKETS,
     max_queries: int = DEFAULT_MAX_QUERIES,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ):
@@ -252,6 +258,9 @@ def lsh_lookup(
     map, both capped (hard ValueError) — see the module docstring for why
     a lookup is the SMALL-side operation by contract."""
     import ray
+
+    base = pathlib.Path(index_dir)
+    n_buckets = json.loads((base / "_DONE").read_text())["n_buckets"]
 
     def _pull(ds_small, empty_tbl):
         """Small-result driver pull; Aggregate/Join operators emit
@@ -298,14 +307,12 @@ def lsh_lookup(
             probe.setdefault((b, h), []).append(qid)
             buckets.add(_band_bucket(h, n_buckets))
 
-    base = pathlib.Path(index_dir)
     # a LIST of paths must be files (ray's read_parquet only expands a
     # directory when given a single path), so glob each pruned bucket dir.
     band_dirs = [
         str(f)
         for k in sorted(buckets)
         for f in sorted((base / "bands" / f"bucket={k}").glob("*.parquet"))
-        if (base / "bands" / f"bucket={k}").exists()
     ]
     empty = pa.table(
         {
@@ -361,7 +368,6 @@ def lsh_lookup(
         str(f)
         for k in sorted(sbuckets)
         for f in sorted((base / "sigs" / f"sbucket={k}").glob("*.parquet"))
-        if (base / "sigs" / f"sbucket={k}").exists()
     ]
     return ray.data.read_parquet(sig_dirs, columns=["doc_id", "sig"]).map_batches(
         _verify_candidates,

@@ -132,8 +132,9 @@ def build_postings(
     so a run that dies mid-write never leaves partial bucket files where
     the next build would append a second copy on top of them.
 
-    Also writes a ``_STATS`` json sidecar (``n_docs``, ``sum_dl``) — the
-    two corpus scalars BM25 scoring needs (N and avgdl = sum_dl/N).
+    Also writes a ``_STATS`` json sidecar (``n_docs``, ``sum_dl``,
+    ``n_buckets``) — the two corpus scalars BM25 scoring needs (N and
+    avgdl = sum_dl/N), and the bucket count lookups hash tokens with.
     ``sum_dl`` is recovered from the written index itself (sum of ``tf``
     over all postings rows == total token occurrences) via a tf-only
     column-pruned read-back, so the corpus is never scanned twice;
@@ -156,7 +157,7 @@ def build_postings(
     rows.write_parquet(str(tmp), partition_cols=["bucket"])
     sum_dl = ray.data.read_parquet(str(tmp), columns=["tf"]).sum("tf") or 0
     (tmp / "_STATS").write_text(
-        json.dumps({"n_docs": int(n_docs), "sum_dl": int(sum_dl)})
+        json.dumps({"n_docs": int(n_docs), "sum_dl": int(sum_dl), "n_buckets": n_buckets})
     )
     (tmp / "_DONE").write_bytes(b"")
     if out.exists():  # stale partial build (no _DONE): replace it
@@ -165,18 +166,16 @@ def build_postings(
     return str(out)
 
 
-def lookup_token(
-    index_dir: str,
-    token: str,
-    doc_col: str = "doc_id",
-    n_buckets: int = DEFAULT_N_BUCKETS,
-):
+def lookup_token(index_dir: str, token: str, doc_col: str = "doc_id"):
     """Postings for one token: reads ONLY the token's ``bucket=K``
     directory (1/n_buckets of the index).  Returns a Dataset of
     ``(doc_col, tf)``.  A bucket directory that does not exist (token
     hashes to an empty bucket) yields an empty result."""
+    import json
+
     import ray
 
+    n_buckets = json.loads((pathlib.Path(index_dir) / "_STATS").read_text())["n_buckets"]
     bucket_dir = pathlib.Path(index_dir) / f"bucket={token_bucket(token, n_buckets)}"
     if not bucket_dir.exists():
         return ray.data.from_arrow(
@@ -226,7 +225,6 @@ def bm25_topk(
     query: str,
     k: int = 10,
     doc_col: str = "doc_id",
-    n_buckets: int = DEFAULT_N_BUCKETS,
     k1: float = 1.25,
     b: float = 0.75,
 ):
@@ -285,7 +283,7 @@ def bm25_topk(
     if not terms or not stats_path.exists():
         return ray.data.from_arrow(empty)
     stats = json.loads(stats_path.read_text())
-    n_docs, sum_dl = int(stats["n_docs"]), int(stats["sum_dl"])
+    n_docs, sum_dl, n_buckets = stats["n_docs"], stats["sum_dl"], stats["n_buckets"]
     if n_docs == 0:
         return ray.data.from_arrow(empty)
     avgdl = float(sum_dl) / float(n_docs)

@@ -4,7 +4,7 @@
       -> ExtractPages (read-fused tasks)  main-content text + spans
       -> keep status == 'ok' and non-empty text
       -> lang-id + quality gate           (single fused batch pass)
-      -> parquet checkpoint               (dedup reads it twice, streaming)
+      -> materialized corpus              (dedup reads it twice)
       -> exact dedup on extracted text    (hash groupby + semi-join keep)
       -> partitioned write + manifests    (same layout/resume as extraction)
 
@@ -14,13 +14,14 @@ winner semi-join on urls.  This is the pipeline a 100 TB crawl-to-corpus
 job runs; each piece is individually oracle-verified, this module is their
 composition.
 
-``run_corpus`` is the job form: two-level crash resume with per-partition
-lineage manifests (state/manifest.py) for BOTH the checkpoint (the
-expensive extraction) and the final deduplicated output.  Resume
-correctness hinges on one invariant: exact-dedup winners are a pure
-function of the FULL checkpoint (min url per content hash), so recomputing
-only the missing output partitions against the full checkpoint reproduces
-a fresh run byte-for-byte.
+``run_corpus`` is the job form: two-level crash resume for BOTH the
+partitioned parquet checkpoint (the expensive extraction) and the final
+deduplicated output, each stage on ``state/manifest.py::run_parts``, the
+same resume path as the extraction job.  Resume correctness hinges on one
+invariant: exact-dedup winners are a pure function of the FULL checkpoint
+(min url per content hash), so recomputing only the missing output
+partitions against the full checkpoint reproduces a fresh run
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -39,21 +40,11 @@ from fuzi_rd.stages.extractor import DEFAULT_NUM_PARTS
 from fuzi_rd.state import manifest as mf
 
 
-def _cluster_node_count() -> int:
-    import ray
-
-    try:
-        return sum(1 for n in ray.nodes() if n.get("Alive"))
-    except Exception:
-        return 1
-
-
 def corpus_dataset(
     pages_ds,
     min_text_len: int = 30,
     batch_size: int = 256,
     dedup: bool = True,
-    checkpoint_dir: str | None = None,
     num_partitions: int | None = None,
     num_parts: int = DEFAULT_NUM_PARTS,
     skip_parts: set[int] | None = None,
@@ -77,14 +68,9 @@ def corpus_dataset(
     ``domain_components`` / ``pagerank`` — the webgraph as a by-product
     of the one parse this job already pays for.
 
-    Checkpoint policy (the dedup stage consumes the corpus twice, so it
-    must be written once and re-read): ``checkpoint_dir`` must be on
-    storage every node can read — on a multi-node cluster a node-local
-    path silently loses every block written by other nodes, so when the
-    cluster has >1 node the argument is REQUIRED (``run_corpus`` derives
-    it from the job's output directory, which is shared by construction).
-    A non-empty ``checkpoint_dir`` is cleared first: stale files from a
-    prior run would be re-read as duplicate documents."""
+    With ``dedup`` the cleaned corpus is materialized in the (cluster-wide)
+    object store before the dedup consumes it twice, so extraction runs
+    once; ``run_corpus`` checkpoints it to parquet instead, for resume."""
     extracted = extract_dataset(
         pages_ds,
         batch_size=batch_size,
@@ -146,28 +132,7 @@ def corpus_dataset(
     if not dedup:
         return corpus
 
-    import tempfile
-
-    import ray
-
-    if checkpoint_dir is None:
-        if _cluster_node_count() > 1:
-            raise ValueError(
-                "corpus_dataset(dedup=True) on a multi-node cluster needs an "
-                "explicit checkpoint_dir on shared storage (a node-local "
-                "tempdir would lose every block written on other nodes); "
-                "use run_corpus(), which derives it from the output dir"
-            )
-        ckpt = tempfile.mkdtemp(prefix="fuzi_rd_corpus_ckpt_")
-    else:
-        ckpt = checkpoint_dir
-        p = Path(ckpt)
-        if p.is_dir() and any(p.iterdir()):
-            # stale checkpoint from a prior run would duplicate documents
-            shutil.rmtree(ckpt)
-        p.mkdir(parents=True, exist_ok=True)
-    corpus.write_parquet(ckpt)
-    corpus = ray.data.read_parquet(ckpt)
+    corpus = corpus.materialize()
     return _dedup_keep_by_hash_subset(corpus, corpus, num_partitions)
 
 
@@ -192,8 +157,10 @@ def run_corpus(
     Layout (everything under ``out_dir``, i.e. on the job's shared
     storage — the checkpoint is NOT node-local /tmp):
 
-        out/_checkpoint/part=<k>/...   cleaned pre-dedup corpus + manifests
-        out/part=<k>/...               deduplicated corpus + manifests
+        out/_checkpoint/part=<k>/...   cleaned pre-dedup corpus
+        out/part=<k>/...               deduplicated corpus
+
+    each with its own ``_manifests/`` and ``_metrics/``.
 
     Resume: (1) pages of checkpoint partitions with manifests are dropped
     before extraction (`part` is a pure function of url, so skipping
@@ -204,63 +171,47 @@ def run_corpus(
     import ray
 
     t0 = time.monotonic()
-    out = Path(out_dir)
-    ckpt_dir = str(out / "_checkpoint")
-    if not resume and out.exists():
+    ckpt_dir = str(Path(out_dir) / "_checkpoint")
+    if not resume and Path(out_dir).exists():
         shutil.rmtree(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     writer_batch = min(max(batch_size * 16, 2048), 65536)
     sums = {"bytes_out": "text_len"}
 
     # -- stage A: extract + clean into the partitioned checkpoint
-    ckpt_done = mf.completed_parts(ckpt_dir) if resume else set()
-    mf.clean_incomplete(ckpt_dir, ckpt_done)
-    pages = ray.data.read_parquet(input_path, columns=["url", "html"])
-    cleaned = corpus_dataset(
-        pages,
-        min_text_len=min_text_len,
-        batch_size=batch_size,
-        dedup=False,
-        num_parts=num_parts,
-        skip_parts=ckpt_done or None,
-        emit_markdown=emit_markdown,
-        emit_metadata=emit_metadata,
-    )
-    if len(ckpt_done) < num_parts:
-        mf.write_parts(cleaned, ckpt_dir, run_id, writer_batch, sums)
+    def cleaned(done: set[int]):
+        if len(done) >= num_parts:
+            return None
+        return corpus_dataset(
+            ray.data.read_parquet(input_path, columns=["url", "html"]),
+            min_text_len=min_text_len,
+            batch_size=batch_size,
+            dedup=False,
+            num_parts=num_parts,
+            skip_parts=done or None,
+            emit_markdown=emit_markdown,
+            emit_metadata=emit_metadata,
+        )
+
+    mf.run_parts(ckpt_dir, run_id, cleaned, writer_batch, sums)
 
     # -- stage B: global winners over the FULL checkpoint, write only the
     # missing final partitions
-    final_done = mf.completed_parts(out_dir) if resume else set()
-    mf.clean_incomplete(out_dir, final_done)
-    corpus = ray.data.read_parquet(ckpt_dir)
-
-    def _part_i32(batch: pa.Table) -> pa.Table:
-        # hive partitioning re-infers `part`; pin the dtype the writer uses
-        i = batch.schema.get_field_index("part")
-        return batch.set_column(
-            i, "part", pc.cast(batch.column("part"), pa.int32())
+    def deduped(done: set[int]):
+        corpus = ray.data.read_parquet(ckpt_dir).map_batches(
+            _part_i32, batch_format="pyarrow"
         )
+        todo = corpus.filter(expr=f"part not in {sorted(done)}") if done else corpus
+        return _dedup_keep_by_hash_subset(corpus, todo, num_partitions)
 
-    corpus = corpus.map_batches(_part_i32, batch_format="pyarrow")
-    if final_done:
-        todo = corpus.filter(expr=f"part not in {sorted(final_done)}")
-    else:
-        todo = corpus
-    deduped = _dedup_keep_by_hash_subset(corpus, todo, num_partitions)
-    mf.write_parts(deduped, out_dir, run_id, writer_batch, sums)
-
-    manifests = [
-        m for m in mf.read_manifests(out_dir)
-    ]
-    roll = {
-        "parts": len(manifests),
-        "rows": sum(m["rows"] for m in manifests),
-        "bytes_out": sum(m["bytes_out"] for m in manifests),
-        "wall_s": time.monotonic() - t0,
-    }
+    roll = mf.run_parts(out_dir, run_id, deduped, writer_batch, sums)
+    roll["wall_s"] = time.monotonic() - t0
     return roll
+
+
+def _part_i32(batch: pa.Table) -> pa.Table:
+    # hive partitioning re-infers `part`; pin the dtype the writer uses
+    i = batch.schema.get_field_index("part")
+    return batch.set_column(i, "part", pc.cast(batch.column("part"), pa.int32()))
 
 
 def _dedup_keep_by_hash_subset(full_corpus, subset, num_partitions=None):

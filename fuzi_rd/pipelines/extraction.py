@@ -7,6 +7,9 @@
       -> write_parquet partitioned by url-hash part  (resumable unit)
       -> per-partition lineage manifests + run metrics roll-up
 
+The read, extract and write run on ``state/manifest.py::run_parts``, the
+one resume path this job shares with both stages of the corpus job.
+
 Design notes for 100 TB scale:
   * the hot path is shuffle-free: partition ids are a pure function of url,
     so no repartition/groupby is needed before the partitioned write;
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import shutil
-import time
 from pathlib import Path
 
 import pyarrow as pa
@@ -105,7 +107,8 @@ def run_extraction(
     run_id: str = "run",
     input_partitioned: bool = False,
 ) -> dict:
-    """Full job: read -> extract -> partitioned write -> manifests.
+    """Full job: read -> extract -> partitioned write -> manifests, on the
+    resume path of ``state/manifest.py::run_parts``.
 
     ``input_partitioned``: set True when the input is laid out as
     ``part=<k>/`` url-hash directories produced by this repo's partitioned
@@ -117,35 +120,25 @@ def run_extraction(
     Returns the run-level metrics roll-up."""
     import ray
 
-    t0 = time.monotonic()
-    out = Path(out_dir)
-
-    completed = mf.completed_parts(out_dir) if resume else set()
-    if not resume and out.exists():
+    if not resume and Path(out_dir).exists():
         shutil.rmtree(out_dir)
-    mf.clean_incomplete(out_dir, completed)
 
-    read_paths, skip_parts = input_path, completed
-    if input_partitioned and completed:
-        pruned = _prune_input_parts(input_path, completed)
-        if pruned is not None:
-            read_paths, skip_parts = pruned, set()
-            if not read_paths:
-                # every input partition is already complete: nothing to read
-                roll = mf.rollup(out_dir)
-                roll["wall_s"] = time.monotonic() - t0
-                return roll
-
-    ds = ray.data.read_parquet(
-        read_paths, columns=["url", "html"]
-    )
-    result = extract_dataset(
-        ds,
-        recipe=recipe,
-        batch_size=batch_size,
-        num_parts=num_parts,
-        skip_parts=skip_parts,
-    )
+    def build(done: set[int]):
+        read_paths, skip_parts = input_path, done
+        if input_partitioned and done:
+            pruned = _prune_input_parts(input_path, done)
+            if pruned is not None:
+                if not pruned:
+                    return None  # every input partition is already complete
+                read_paths, skip_parts = pruned, set()
+        ds = ray.data.read_parquet(read_paths, columns=["url", "html"])
+        return extract_dataset(
+            ds,
+            recipe=recipe,
+            batch_size=batch_size,
+            num_parts=num_parts,
+            skip_parts=skip_parts,
+        )
 
     # Writer batch sizing: each writer task writes ~one file per url-hash
     # part it sees, so rows-per-file ~= writer_batch / num_parts.  Scale the
@@ -159,39 +152,15 @@ def run_extraction(
     sums = {
         "bytes_in": "html_bytes", "bytes_out": "text_len", "parse_us_sum": "parse_us",
     }
-    stats_ds = mf.write_parts(result, out_dir, run_id, writer_batch, sums)
-    roll = mf.rollup(out_dir)
-    roll["wall_s"] = time.monotonic() - t0
-    _write_run_metrics(out_dir, run_id, roll, stats_ds)
-    return roll
-
-
-def _write_run_metrics(out_dir: str, run_id: str, roll: dict, stats_ds) -> None:
-    """Run-level metrics file (SURVEY.md §3.4 step 6): manifest roll-up +
-    Ray Data per-operator stats, written next to the data for ops tooling."""
-    import json
-
-    d = Path(out_dir) / "_metrics"
-    d.mkdir(parents=True, exist_ok=True)
-    try:
-        stage_stats = stats_ds.stats()
-    except Exception:
-        stage_stats = ""
-    tmp = d / f".run-{run_id}.json.tmp"
-    with open(tmp, "w") as f:
-        json.dump({"run_id": run_id, **roll, "ray_data_stats": stage_stats}, f)
-    tmp.replace(d / f"run-{run_id}.json")
+    return mf.run_parts(out_dir, run_id, build, writer_batch, sums)
 
 
 def _prune_input_parts(input_path, completed: set[int]) -> list[str] | None:
     """Directories of input partitions still to process, or None when the
     input isn't in the ``part=<k>/`` layout (the extraction task then
     drops the completed parts' rows)."""
-    root = Path(input_path)
-    if not root.is_dir():
-        return None
     part_dirs: dict[int, Path] = {}
-    for d in root.glob("part=*"):
+    for d in Path(input_path).glob("part=*"):
         try:
             part_dirs[int(d.name.split("=", 1)[1])] = d
         except ValueError:

@@ -1,4 +1,4 @@
-"""Per-partition lineage manifests and resume.
+"""Per-partition lineage manifests and the one resume path.
 
 The reference has no persistence at all; the north_rule requires each
 partition to write lineage + metrics so a failed run resumes from checkpoint
@@ -8,15 +8,17 @@ Layout (next to the partitioned Parquet output):
 
     out/part=<k>/...parquet          data for url-hash partition k
     out/_manifests/part-<k>.json     written AFTER the data (atomic rename)
+    out/_metrics/run-<id>.json       run roll-up + Ray Data stats
 
-A partition is complete iff its manifest exists.  On restart the driver
+A partition is complete iff its manifest exists.  ``run_parts`` is the
+resume protocol of the extraction job and of both corpus-job stages: it
 scans `_manifests/`, deletes the data of parts without one
-(``clean_incomplete``), prunes completed partitions from the *input*
-(cheap: the partition id is a pure function of url), recomputes only the
-missing ones and writes their manifests.  ``write_parts`` is the one
-partitioned writer of the extraction and corpus jobs.  Manifest content
-(extraction; a corpus manifest has run_id, part, rows, bytes_out and
-text_checksum):
+(``clean_incomplete``), asks its caller for a Dataset of the missing parts
+only (the caller prunes completed partitions from its input: the partition
+id is a pure function of url), writes them with ``write_parts`` — the one
+partitioned writer — and commits their manifests and the run metrics.
+Manifest content (extraction; a corpus manifest has run_id, part, rows,
+bytes_out and text_checksum):
 
     {run_id, part, rows, ok_rows, error_rows, bytes_in, bytes_out,
      parse_us_sum, text_checksum}
@@ -33,6 +35,7 @@ import json
 import os
 import pathlib
 import shutil
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -45,11 +48,8 @@ def manifest_dir(out_dir: str) -> pathlib.Path:
 
 
 def completed_parts(out_dir: str) -> set[int]:
-    d = manifest_dir(out_dir)
-    if not d.is_dir():
-        return set()
     parts = set()
-    for p in d.glob("part-*.json"):
+    for p in manifest_dir(out_dir).glob("part-*.json"):
         try:
             parts.add(int(p.stem.split("-", 1)[1]))
         except ValueError:
@@ -72,11 +72,8 @@ def write_manifest(out_dir: str, part: int, stats: dict) -> None:
 
 
 def read_manifests(out_dir: str) -> list[dict]:
-    d = manifest_dir(out_dir)
-    if not d.is_dir():
-        return []
     out = []
-    for p in sorted(d.glob("part-*.json")):
+    for p in sorted(manifest_dir(out_dir).glob("part-*.json")):
         with open(p) as f:
             out.append(json.load(f))
     return out
@@ -85,31 +82,16 @@ def read_manifests(out_dir: str) -> list[dict]:
 def rollup(out_dir: str) -> dict:
     """Aggregate all partition manifests into run-level metrics."""
     manifests = read_manifests(out_dir)
-    total = {
-        "parts": len(manifests),
-        "rows": 0,
-        "ok_rows": 0,
-        "error_rows": 0,
-        "bytes_in": 0,
-        "bytes_out": 0,
-        "parse_us_sum": 0,
-    }
-    for m in manifests:
-        for k in (
-            "rows", "ok_rows", "error_rows", "bytes_in", "bytes_out",
-            "parse_us_sum",
-        ):
-            total[k] += m.get(k, 0)
+    total = {"parts": len(manifests)}
+    for k in ("rows", "ok_rows", "error_rows", "bytes_in", "bytes_out", "parse_us_sum"):
+        total[k] = sum(m.get(k, 0) for m in manifests)
     return total
 
 
 def clean_incomplete(out_dir: str, completed: set[int]) -> None:
     """Delete data directories of partitions that have no manifest: they are
     from a crashed run and will be recomputed (prevents duplicate rows)."""
-    out = pathlib.Path(out_dir)
-    if not out.is_dir():
-        return
-    for d in out.glob("part=*"):
+    for d in pathlib.Path(out_dir).glob("part=*"):
         try:
             part = int(d.name.split("=", 1)[1])
         except ValueError:
@@ -191,7 +173,6 @@ def write_parts(ds, out_dir: str, run_id: str, batch_size: int, sums: dict[str, 
     holding ``run_id`` and those sums.  The extracted text itself never
     crosses an all-to-all exchange.  Returns the stats Dataset (its Ray
     Data stats feed the run metrics)."""
-    pathlib.Path(out_dir).mkdir(parents=True, exist_ok=True)
     stats_ds = ds.map_batches(
         _part_writer(out_dir, sums), batch_size=batch_size, batch_format="pyarrow"
     )
@@ -204,3 +185,38 @@ def write_parts(ds, out_dir: str, run_id: str, batch_size: int, sums: dict[str, 
         stats["text_checksum"] %= 2**63
         write_manifest(out_dir, part, stats)
     return stats_ds
+
+
+def run_parts(out_dir: str, run_id: str, build, batch_size: int, sums: dict[str, str]) -> dict:
+    """Resume protocol: read the completed parts, delete the data of the
+    others, write ``build(done)`` — a Dataset of the parts not in ``done``,
+    or None when nothing is left to read — with ``write_parts``, and commit
+    ``_metrics/run-<run_id>.json``.  Returns the manifest roll-up plus
+    ``wall_s``.
+
+    Never wipes ``out_dir`` itself (it may hold another stage's output):
+    a job that does not resume clears its output once, before this call."""
+    t0 = time.monotonic()
+    done = completed_parts(out_dir)
+    clean_incomplete(out_dir, done)
+    ds = build(done)
+    stats_ds = None if ds is None else write_parts(ds, out_dir, run_id, batch_size, sums)
+    roll = rollup(out_dir)
+    roll["wall_s"] = time.monotonic() - t0
+    _write_run_metrics(out_dir, run_id, roll, stats_ds)
+    return roll
+
+
+def _write_run_metrics(out_dir: str, run_id: str, roll: dict, stats_ds) -> None:
+    """Run-level metrics file (SURVEY.md §3.4 step 6): manifest roll-up +
+    Ray Data per-operator stats, written next to the data for ops tooling."""
+    d = pathlib.Path(out_dir) / "_metrics"
+    d.mkdir(parents=True, exist_ok=True)
+    try:
+        stage_stats = stats_ds.stats() if stats_ds is not None else ""
+    except Exception:
+        stage_stats = ""
+    tmp = d / f".run-{run_id}.json.tmp"
+    with open(tmp, "w") as f:
+        json.dump({"run_id": run_id, **roll, "ray_data_stats": stage_stats}, f)
+    tmp.replace(d / f"run-{run_id}.json")

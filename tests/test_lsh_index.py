@@ -91,7 +91,6 @@ def test_lsh_lookup_matches_bruteforce(tmp_path):
             )
         ),
         threshold=0.5,
-        n_buckets=8,
     )
     got = {
         (r["query_id"], r["doc_id"]): (r["n_agree"], r["est_milli"])
@@ -147,4 +146,52 @@ def test_lsh_lookup_rejects_duplicate_query_ids(tmp_path):
         }
     )
     with pytest.raises(ValueError, match="duplicate query_id"):
-        lsh_lookup(idx, ray.data.from_arrow(queries), n_buckets=4)
+        lsh_lookup(idx, ray.data.from_arrow(queries))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_lsh_lookup_uses_the_built_bucket_count(tmp_path):
+    """The lookup probes the bucket dirs of the build's ``n_buckets``
+    (recorded in ``_DONE``), not a default of its own."""
+    import ray
+
+    from fuzi_rd.functions.lsh_index import build_lsh_index, lsh_lookup
+
+    ds = ray.data.read_parquet(
+        SF_DIR + "/documents.parquet", columns=["doc_id", "text"]
+    ).limit(50)
+    idx = build_lsh_index(ds, str(tmp_path / "lsh"), n_buckets=4)
+    # ids 40-44: their default-count signature buckets (id % 64) hold no
+    # rows in a 4-bucket index
+    tbl = pq.read_table(SF_DIR + "/documents.parquet", columns=["doc_id", "text"])
+    queries = tbl.slice(40, 5).rename_columns(["query_id", "text"])
+    got = {
+        r["query_id"]
+        for r in lsh_lookup(idx, ray.data.from_arrow(queries)).take_all()
+        if r["query_id"] == r["doc_id"]
+    }
+    assert got == set(range(40, 45))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_lsh_empty_corpus_builds_empty_index(tmp_path):
+    """A corpus with no non-empty text signs nothing: the build still
+    writes a valid index, and a lookup on it returns no rows."""
+    import ray
+
+    from fuzi_rd.functions.lsh_index import build_lsh_index, lsh_lookup
+
+    docs = pa.table(
+        {
+            "doc_id": pa.array([1, 2, 3], pa.int64()),
+            "text": pa.array(["", "   ", None], pa.string()),
+        }
+    )
+    idx = build_lsh_index(ray.data.from_arrow(docs), str(tmp_path / "lsh"))
+    queries = pa.table(
+        {
+            "query_id": pa.array([9], pa.int64()),
+            "text": pa.array(["some query text to look up"], pa.string()),
+        }
+    )
+    assert lsh_lookup(idx, ray.data.from_arrow(queries)).take_all() == []

@@ -482,7 +482,7 @@ def test_postings_build_and_pruned_lookup(ray_session, tmp_path):
         ray.data.from_arrow(_docs(docs)), str(tmp_path / "idx"), n_buckets=8
     )
     # hive layout: one bucket=K dir per occupied bucket, plus the _DONE
-    # marker and the _STATS scalars sidecar (BM25's N / sum_dl)
+    # marker and the _STATS sidecar (BM25's N / sum_dl, the bucket count)
     buckets = sorted(p.name for p in pathlib.Path(idx).iterdir())
     assert "_DONE" in buckets and "_STATS" in buckets
     assert all(
@@ -491,16 +491,16 @@ def test_postings_build_and_pruned_lookup(ray_session, tmp_path):
     import json
 
     stats = json.loads((pathlib.Path(idx) / "_STATS").read_text())
-    # 4 docs; 3+2+1+3 = 9 token occurrences
-    assert stats == {"n_docs": 4, "sum_dl": 9}
+    # 4 docs; 3+2+1+3 = 9 token occurrences; the build's bucket count
+    assert stats == {"n_docs": 4, "sum_dl": 9, "n_buckets": 8}
 
     got = sorted(
-        (r["doc_id"], r["tf"]) for r in lookup_token(idx, "apple", n_buckets=8).take_all()
+        (r["doc_id"], r["tf"]) for r in lookup_token(idx, "apple").take_all()
     )
     assert got == [(1, 2), (3, 1)]
     # a token hashing to a bucket with no postings yields empty, not error
     for probe in ("zzzmissing", "qqq", "absent"):
-        rows = lookup_token(idx, probe, n_buckets=8).take_all()
+        rows = lookup_token(idx, probe).take_all()
         assert rows == [] or all(False for _ in rows)
 
     # the lookup reads ONLY the token's bucket directory
@@ -530,7 +530,7 @@ def test_postings_rebuild_replaces_partial_build(ray_session, tmp_path):
     build_postings(ray.data.from_arrow(_docs(docs)), str(idx), n_buckets=4)
     got = sorted(
         (r["doc_id"], r["tf"])
-        for r in lookup_token(str(idx), "apple", n_buckets=4).take_all()
+        for r in lookup_token(str(idx), "apple").take_all()
     )
     assert got == [(1, 1), (2, 1)]  # no duplicated postings
 
@@ -557,7 +557,7 @@ def test_bm25_topk_matches_reference_formula(ray_session, tmp_path):
     )
     got = [
         (r["doc_id"], r["score_micro"], r["rnk"])
-        for r in bm25_topk(idx, "apple cherry", k=3, n_buckets=8).take_all()
+        for r in bm25_topk(idx, "apple cherry", k=3).take_all()
     ]
 
     # pure-Python reference evaluation
@@ -585,4 +585,4 @@ def test_bm25_topk_matches_reference_formula(ray_session, tmp_path):
     assert got == [(d, s, i + 1) for i, (d, s) in enumerate(want)]
 
     # a query whose tokens hit no postings returns an empty, typed result
-    assert bm25_topk(idx, "zzz qqq", k=3, n_buckets=8).take_all() == []
+    assert bm25_topk(idx, "zzz qqq", k=3).take_all() == []

@@ -1,7 +1,10 @@
 """Driver-contract self-check: run every queries() entry and, where an
 oracle_sql() entry exists, compare row count + schema + values against
 DuckDB over the same parquet tables (the same comparison the round driver
-performs at sf0.01).
+performs at sf0.01).  Ray sizes the session from the host.  A query still
+running after ``QUERY_TIMEOUT_S`` prints ``FAIL <name>: timed out`` and
+counts as a failure (SIGALRM stops the Ray Data pipeline it waits on; a
+bare ``ray.get`` inside a query is only cut once it returns).
 
 Usage: python tools/check_oracles.py [sf_dir] [name ...]
 """
@@ -9,7 +12,9 @@ Usage: python tools/check_oracles.py [sf_dir] [name ...]
 from __future__ import annotations
 
 import pathlib
+import signal
 import sys
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
@@ -20,6 +25,15 @@ TABLES = (
     "region nation customer supplier part orders lineitem events "
     "documents embeddings"
 ).split()
+QUERY_TIMEOUT_S = 600
+
+
+class QueryTimeout(BaseException):
+    """Raised by SIGALRM; not an Exception, so a query cannot swallow it."""
+
+
+def _on_alarm(signum, frame):
+    raise QueryTimeout
 
 
 def to_arrow(result) -> pa.Table:
@@ -92,7 +106,6 @@ def main() -> int:
     if not ray.is_initialized():
         ray.init(
             address="local",
-            num_cpus=16,
             include_dashboard=False,
             ignore_reinit_error=True,
             logging_level="ERROR",
@@ -110,15 +123,24 @@ def main() -> int:
         )
 
     failures = 0
+    signal.signal(signal.SIGALRM, _on_alarm)
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        t0 = time.monotonic()
+        signal.alarm(QUERY_TIMEOUT_S)
         try:
             got = to_arrow(fn(sf_dir))
-        except Exception as exc:
-            print(f"FAIL {name}: query raised {type(exc).__name__}: {exc}")
+        except (QueryTimeout, Exception) as exc:
+            # Ray may re-raise the timeout as another exception type
+            if time.monotonic() - t0 >= QUERY_TIMEOUT_S:
+                print(f"FAIL {name}: timed out")
+            else:
+                print(f"FAIL {name}: query raised {type(exc).__name__}: {exc}")
             failures += 1
             continue
+        finally:
+            signal.alarm(0)
         if name not in oracles:
             print(f"ok   {name}: rows-only, {len(got)} rows, cols {sorted(got.column_names)}")
             continue
