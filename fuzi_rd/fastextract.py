@@ -25,10 +25,12 @@ numpy kernels run once per ~10^4 nodes instead of once per ~10^2:
 Byte-identity with the reference pipeline (parse_html_bytes ->
 kill_boilerplate_nodes -> extract_main_content) is pinned by
 tests/test_fastextract.py (differential over goldens, synthesized crawl
-pages, the fuzz generator, and adversarial corners).  Docs the kernel
-declines fall back to the Python path per document; a piece stream that
-violates the preorder contract (kernel bug) raises and the caller redoes
-the whole batch in Python — output is identical either way.
+pages, the fuzz generator, and adversarial corners).  Docs `add` does not
+accept (a decline or a ParseError) are not this module's: the caller
+answers them with its Python path, which parses through
+`chtml.parse_page`.  A piece stream that violates the preorder contract
+(kernel bug) raises and the caller redoes the whole batch in Python —
+output is identical either way.
 
 Reference parity anchor: the extraction spec lives in fuzi_rd/extract.py
 (SURVEY.md §2.8); this module is an execution strategy for it, not a new

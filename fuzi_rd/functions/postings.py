@@ -150,12 +150,17 @@ def build_postings(
         return str(out)
     tmp = out.with_name(out.name + "._building")
     shutil.rmtree(tmp, ignore_errors=True)
+    # a corpus with no tokens writes no bucket: the directory must exist
+    # for the sidecar and the rename
+    tmp.mkdir(parents=True)
     n_docs = ds.count()
     rows = ds.map_batches(
         postings_batch(text_col, doc_col, n_buckets), batch_format="pyarrow"
     )
     rows.write_parquet(str(tmp), partition_cols=["bucket"])
-    sum_dl = ray.data.read_parquet(str(tmp), columns=["tf"]).sum("tf") or 0
+    sum_dl = 0
+    if any(tmp.glob("bucket=*")):
+        sum_dl = ray.data.read_parquet(str(tmp), columns=["tf"]).sum("tf") or 0
     (tmp / "_STATS").write_text(
         json.dumps({"n_docs": int(n_docs), "sum_dl": int(sum_dl), "n_buckets": n_buckets})
     )

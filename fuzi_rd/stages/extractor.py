@@ -38,16 +38,15 @@ a ``status='error'`` row, it never fails the block):
 
 from __future__ import annotations
 
+import os
 import zlib
 
 import pyarrow as pa
 
 from fuzi_rd import chtml
 from fuzi_rd.css import xpath_from_css
-from fuzi_rd.dom import ELEMENT
-from fuzi_rd.errors import FuziError, ParseError
+from fuzi_rd.errors import FuziError
 from fuzi_rd.extract import extract_main_content, kill_boilerplate_nodes, _title_of
-from fuzi_rd.html_parser import parse_html_bytes
 from fuzi_rd.xpath import compile_xpath, evaluate, string_value
 
 DEFAULT_NUM_PARTS = 256
@@ -102,24 +101,20 @@ class ExtractPages:
         # markdown/metadata, which need the full DOM API), the kill+density+
         # text assembly runs vectorized over the raw C-kernel arrays for the
         # WHOLE batch, skipping the Python-Arena marshalling (~2.9x on the
-        # hot loop).  Byte-identity with the Python path is pinned by
-        # tests/test_fastextract.py; any doc the kernel declines falls back
-        # per-doc, and any fast-path exception falls back for the batch.
+        # hot loop).  Rows the kernel does not accept go through
+        # _call_python, which parses with chtml.parse_page; any fast-path
+        # exception redoes the whole batch in _call_python.  Byte-identity
+        # is pinned by tests/test_fastextract.py.
         self._fast = None
-        import os as _os
-
         if (
             chtml.available()
             and not self.recipe
             and not (emit_markdown or emit_metadata)
-            and not _os.environ.get("FUZI_NO_FASTEXTRACT")
+            and not os.environ.get("FUZI_NO_FASTEXTRACT")
         ):
-            try:
-                from fuzi_rd.fastextract import BatchExtractor
+            from fuzi_rd.fastextract import BatchExtractor
 
-                self._fast = BatchExtractor()
-            except Exception:
-                self._fast = None
+            self._fast = BatchExtractor()
 
     fast_batch_fallbacks = 0  # class-level: observable in tests
 
@@ -131,10 +126,7 @@ class ExtractPages:
                 # Safety net: the Python path is the authority.  Reset the
                 # batch buffers and redo the whole batch the slow way.
                 type(self).fast_batch_fallbacks += 1
-                try:
-                    self._fast.reset()
-                except Exception:
-                    self._fast = None
+                self._fast.reset()
         return self._call_python(batch)
 
     def _call_python(self, batch: pa.Table) -> pa.Table:
@@ -225,23 +217,12 @@ class ExtractPages:
             if link_offsets is not None:
                 link_offsets[i + 1] = len(link_dsts)
 
-        spans_arr = pa.ListArray.from_arrays(
-            pa.array(span_offsets, pa.int32()),
-            pa.StructArray.from_arrays(
-                [
-                    pa.array(span_paths, pa.string()),
-                    pa.array(span_starts, pa.int64()),
-                    pa.array(span_ends, pa.int64()),
-                ],
-                ["path", "start", "end"],
-            ),
-        )
         cols = {
             "url": pa.array(urls, pa.string()),
             "part": pa.array(parts, pa.int32()),
             "title": pa.array(titles, pa.large_string()),
             "extracted_text": pa.array(texts, pa.large_string()),
-            "spans": spans_arr,
+            "spans": _spans_array(span_offsets, span_paths, span_starts, span_ends),
             "n_nodes": pa.array(n_nodes, pa.int32()),
             "text_len": pa.array(text_lens, pa.int64()),
             "html_bytes": pa.array(html_bytes, pa.int64()),
@@ -271,237 +252,119 @@ class ExtractPages:
             cols["og_image"] = pa.array(_m("og:image"), pa.string())
             cols["og_type"] = pa.array(_m("og:type"), pa.string())
         if link_offsets is not None:
-            cols["links"] = pa.ListArray.from_arrays(
-                pa.array(link_offsets, pa.int32()),
-                pa.StructArray.from_arrays(
-                    [
-                        pa.array(link_dsts, pa.string()),
-                        pa.array(link_anchors, pa.large_string()),
-                        pa.array(link_nofollow, pa.bool_()),
-                    ],
-                    ["dst_url", "anchor", "nofollow"],
-                ),
+            cols["links"] = _links_array(
+                link_offsets, link_dsts, link_anchors, link_nofollow
             )
         return pa.table(cols)
 
     def _call_fast(self, batch: pa.Table) -> pa.Table:
-        """Batched vectorized extraction (see fastextract.py).  Produces a
-        table identical to :meth:`_call_python` for the core column set."""
+        """The kernel batch path (fuzi_rd/fastextract.py) for the rows
+        ``BatchExtractor.add`` accepts; every other row (a decline, a
+        ``ParseError``, a kernel exception) goes through :meth:`_call_python`,
+        which parses it with ``chtml.parse_page``.  The two tables are merged
+        back into input order, identical to ``_call_python`` over the batch."""
         from time import perf_counter_ns
 
         import numpy as np
 
         urls = batch.column("url").to_pylist()
         htmls = batch.column("html").to_pylist()
-        n = len(urls)
         bx = self._fast
         bx.reset()
 
-        parts = [0] * n
-        html_bytes = [0] * n
-        parse_us = [0] * n
-        status = ["ok"] * n
-        error = [""] * n
         fast_rows: list[int] = []
-        slow_rows: list[int] = []
-        for i in range(n):
-            raw = htmls[i] or b""
-            parts[i] = url_part(urls[i], self.num_parts)
-            html_bytes[i] = len(raw)
+        rest: list[int] = []
+        html_bytes: list[int] = []
+        parse_us: list[int] = []
+        for i, raw in enumerate(htmls):
+            raw = raw or b""
             t_row = perf_counter_ns()
             try:
                 chtml.check_page_size(raw)
                 ok = bx.add(raw)
-            except ParseError as exc:
-                status[i] = "error"
-                error[i] = f"{type(exc).__name__}: {exc}"[:500]
-                parse_us[i] = (perf_counter_ns() - t_row) // 1000
-                continue
-            except Exception:
-                ok = False  # kernel bug: Python is the authority
-            parse_us[i] = (perf_counter_ns() - t_row) // 1000
-            (fast_rows if ok else slow_rows).append(i)
+            except Exception:  # ParseError or a kernel bug: _call_python decides
+                ok = False
+            if ok:
+                fast_rows.append(i)
+                html_bytes.append(len(raw))
+                parse_us.append((perf_counter_ns() - t_row) // 1000)
+            else:
+                rest.append(i)
 
+        fast_urls = [urls[i] for i in fast_rows]
         t_fin = perf_counter_ns()
         res = bx.finish(emit_spans=self.emit_spans)
         if self.emit_links:
-            res["links"] = bx.finish_links(
-                [urls[i] for i in fast_rows], self.max_links
-            )
+            links = bx.finish_links(fast_urls, self.max_links)
         if fast_rows:
             # finish() is batched; amortize its wall time over the fast rows
             # (parse_us is only ever consumed as a per-partition SUM).
             share = ((perf_counter_ns() - t_fin) // 1000) // len(fast_rows)
-            for i in fast_rows:
-                parse_us[i] += share
+            parse_us = [us + share for us in parse_us]
 
-        titles = [""] * n
-        n_nodes = [0] * n
-        text_lens = [0] * n
-        text_hash = [0] * n
-        for j, i in enumerate(fast_rows):
-            titles[i] = res["title"][j]
-            n_nodes[i] = int(res["n_nodes"][j])
-            text_lens[i] = int(res["text_chars"][j])
-            text_hash[i] = int(res["text_hash"][j])
-
-        # per-doc declines (rare): the Python pipeline, row-local
-        slow_spans: dict[int, list] = {}
-        slow_bytes: dict[int, bytes] = {}
-        slow_links: dict[int, list] = {}
-        for i in slow_rows:
-            t_row = perf_counter_ns()
-            try:
-                arena = parse_html_bytes(htmls[i] or b"", track_lines=False)
-                titles[i] = _title_of(arena)
-                if self.emit_links:
-                    from fuzi_rd.stages.links import _page_links
-
-                    # pre-kill, kept even if extraction later raises —
-                    # exactly the _call_python control flow
-                    slow_links[i] = _page_links(arena, urls[i], self.max_links)
-                kill_boilerplate_nodes(arena)
-                text, spans = extract_main_content(arena)
-                slow_bytes[i] = text.encode("utf-8")
-                if self.emit_spans:
-                    slow_spans[i] = spans
-                n_nodes[i] = arena.n_nodes()
-                text_lens[i] = len(text)
-                text_hash[i] = zlib.crc32(slow_bytes[i])
-            except Exception as exc:
-                status[i] = "error"
-                error[i] = f"{type(exc).__name__}: {exc}"[:500]
-            parse_us[i] += (perf_counter_ns() - t_row) // 1000
-
-        # extracted_text: finish() already produced ONE concatenated utf-8
-        # buffer in fast-row order (error rows are zero-width wherever they
-        # sit), so with no per-doc declines the column is built zero-copy;
-        # otherwise splice the rare slow rows in
-        doc_len = np.diff(res["text_off"])
-        widths = np.zeros(n, dtype=np.int64)
-        if fast_rows:
-            widths[np.array(fast_rows, dtype=np.int64)] = doc_len
-        if slow_bytes:
-            for i, b in slow_bytes.items():
-                widths[i] = len(b)
-            pieces = [b""] * n
-            tb = res["text_buf"]
-            to = res["text_off"]
-            for j, i in enumerate(fast_rows):
-                pieces[i] = tb[int(to[j]) : int(to[j + 1])].tobytes()
-            for i, b in slow_bytes.items():
-                pieces[i] = b
-            data_buf = pa.py_buffer(b"".join(pieces))
-        else:
-            data_buf = pa.py_buffer(res["text_buf"])
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(widths, out=offsets[1:])
-        text_arr = pa.Array.from_buffers(
-            pa.large_utf8(), n, [None, pa.py_buffer(offsets), data_buf]
-        )
-
-        # spans: fast output is doc-major over fast_rows (ascending row
-        # order), error rows contribute nothing — so when there are no slow
-        # rows the flat arrays are already in row order
-        counts_row = np.zeros(n, dtype=np.int64)
-        if fast_rows:
-            counts_row[np.array(fast_rows, dtype=np.int64)] = res["span_counts"]
-        if slow_spans:
-            f_off = np.zeros(len(fast_rows) + 1, dtype=np.int64)
-            np.cumsum(res["span_counts"], out=f_off[1:])
-            fast_pos = {i: j for j, i in enumerate(fast_rows)}
-            r_starts = res["span_starts"].tolist()
-            r_ends = res["span_ends"].tolist()
-            span_paths: list[str] = []
-            span_starts: list[int] = []
-            span_ends: list[int] = []
-            for i in range(n):
-                j = fast_pos.get(i)
-                if j is not None:
-                    lo, hi = int(f_off[j]), int(f_off[j + 1])
-                    span_paths.extend(res["span_paths"][lo:hi])
-                    span_starts.extend(r_starts[lo:hi])
-                    span_ends.extend(r_ends[lo:hi])
-                else:
-                    for s in slow_spans.get(i, ()):
-                        span_paths.append(s["path"])
-                        span_starts.append(s["start"])
-                        span_ends.append(s["end"])
-                        counts_row[i] += 1
-        else:
-            span_paths = res["span_paths"]
-            span_starts = res["span_starts"]
-            span_ends = res["span_ends"]
+        n = len(fast_rows)
         span_offsets = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(counts_row, out=span_offsets[1:])
-        spans_arr = pa.ListArray.from_arrays(
-            pa.Array.from_buffers(
-                pa.int32(), n + 1, [None, pa.py_buffer(span_offsets)]
-            ),
-            pa.StructArray.from_arrays(
-                [
-                    pa.array(span_paths, pa.string()),
-                    pa.array(span_starts, pa.int64()),
-                    pa.array(span_ends, pa.int64()),
-                ],
-                ["path", "start", "end"],
-            ),
-        )
+        np.cumsum(res["span_counts"], out=span_offsets[1:])
         cols = {
-            "url": pa.array(urls, pa.string()),
-            "part": pa.array(parts, pa.int32()),
-            "title": pa.array(titles, pa.large_string()),
-            "extracted_text": text_arr,
-            "spans": spans_arr,
-            "n_nodes": pa.array(n_nodes, pa.int32()),
-            "text_len": pa.array(text_lens, pa.int64()),
+            "url": pa.array(fast_urls, pa.string()),
+            "part": pa.array(
+                [url_part(u, self.num_parts) for u in fast_urls], pa.int32()
+            ),
+            "title": pa.array(res["title"], pa.large_string()),
+            # finish() produced ONE concatenated utf-8 buffer in fast-row
+            # order: the column is built zero-copy
+            "extracted_text": pa.Array.from_buffers(
+                pa.large_utf8(),
+                n,
+                [None, pa.py_buffer(res["text_off"]), pa.py_buffer(res["text_buf"])],
+            ),
+            "spans": _spans_array(
+                span_offsets, res["span_paths"], res["span_starts"], res["span_ends"]
+            ),
+            "n_nodes": pa.array(res["n_nodes"], pa.int32()),
+            "text_len": pa.array(res["text_chars"], pa.int64()),
             "html_bytes": pa.array(html_bytes, pa.int64()),
-            "text_hash": pa.array(text_hash, pa.uint64()),
+            "text_hash": pa.array(res["text_hash"], pa.uint64()),
             "parse_us": pa.array(parse_us, pa.int64()),
-            "status": pa.array(status, pa.string()),
-            "error": pa.array(error, pa.string()),
+            "status": pa.array(["ok"] * n, pa.string()),
+            "error": pa.array([""] * n, pa.string()),
         }
         if self.emit_links:
-            # fast output is doc-major over fast_rows (ascending), so with
-            # no slow rows the flat lists are already in row order — same
-            # splice pattern as spans otherwise
-            l_counts, l_dsts, l_anchors, l_nf = res["links"]
-            lcnt_row = np.zeros(n, dtype=np.int64)
-            if fast_rows:
-                lcnt_row[np.array(fast_rows, dtype=np.int64)] = l_counts
-            if slow_links:
-                l_off = np.zeros(len(fast_rows) + 1, dtype=np.int64)
-                np.cumsum(l_counts, out=l_off[1:])
-                fpos = {i: j for j, i in enumerate(fast_rows)}
-                dsts, anchors, nf = [], [], []
-                for i in range(n):
-                    j = fpos.get(i)
-                    if j is not None:
-                        lo, hi = int(l_off[j]), int(l_off[j + 1])
-                        dsts.extend(l_dsts[lo:hi])
-                        anchors.extend(l_anchors[lo:hi])
-                        nf.extend(l_nf[lo:hi])
-                    else:
-                        for d, a, x in slow_links.get(i, ()):
-                            dsts.append(d)
-                            anchors.append(a)
-                            nf.append(x)
-                            lcnt_row[i] += 1
-            else:
-                dsts, anchors, nf = l_dsts, l_anchors, l_nf
-            l_offsets = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(lcnt_row, out=l_offsets[1:])
-            cols["links"] = pa.ListArray.from_arrays(
-                pa.Array.from_buffers(
-                    pa.int32(), n + 1, [None, pa.py_buffer(l_offsets)]
-                ),
-                pa.StructArray.from_arrays(
-                    [
-                        pa.array(dsts, pa.string()),
-                        pa.array(anchors, pa.large_string()),
-                        pa.array(nf, pa.bool_()),
-                    ],
-                    ["dst_url", "anchor", "nofollow"],
-                ),
-            )
-        return pa.table(cols)
+            l_counts, dsts, anchors, nofollow = links
+            link_offsets = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(l_counts, out=link_offsets[1:])
+            cols["links"] = _links_array(link_offsets, dsts, anchors, nofollow)
+        fast = pa.table(cols)
+        if not rest:
+            return fast
+        slow = self._call_python(batch.take(rest))
+        order = np.argsort(np.array(fast_rows + rest, dtype=np.int64))
+        return pa.concat_tables([fast, slow]).take(order)
+
+
+def _spans_array(offsets, paths, starts, ends) -> pa.ListArray:
+    return pa.ListArray.from_arrays(
+        pa.array(offsets, pa.int32()),
+        pa.StructArray.from_arrays(
+            [
+                pa.array(paths, pa.string()),
+                pa.array(starts, pa.int64()),
+                pa.array(ends, pa.int64()),
+            ],
+            ["path", "start", "end"],
+        ),
+    )
+
+
+def _links_array(offsets, dsts, anchors, nofollow) -> pa.ListArray:
+    return pa.ListArray.from_arrays(
+        pa.array(offsets, pa.int32()),
+        pa.StructArray.from_arrays(
+            [
+                pa.array(dsts, pa.string()),
+                pa.array(anchors, pa.large_string()),
+                pa.array(nofollow, pa.bool_()),
+            ],
+            ["dst_url", "anchor", "nofollow"],
+        ),
+    )

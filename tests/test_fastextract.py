@@ -1,7 +1,9 @@
 """Differential gate for the batched extraction fast path
 (fuzi_rd/fastextract.py): ExtractPages' vectorized `_call_fast` must be
 COLUMN-IDENTICAL (everything except the wall-clock parse_us column) to the
-per-document Python path on every corpus we can throw at it, or fall back.
+per-document Python path on every corpus we can throw at it.  Rows the
+kernel does not accept are answered by `_call_python` and merged back into
+input order; a fast-path exception redoes the whole batch in Python.
 
 Like the C-kernel gate (tests/test_chtml_equivalence.py), the Python path
 remains the authority — these tests define when the batched path is allowed
@@ -34,15 +36,18 @@ def _table(blobs, urls=None):
 
 def _assert_identical(tbl, label="", **kwargs):
     fast = ExtractPages(**kwargs)
-    slow = ExtractPages(**kwargs)
-    slow._fast = None
     before = ExtractPages.fast_batch_fallbacks
     out_f = fast(tbl)
     assert ExtractPages.fast_batch_fallbacks == before, (
         label,
         "whole-batch safety net fired",
     )
-    out_s = slow._call_python(tbl)
+    _assert_same_as_python(out_f, tbl, label, **kwargs)
+
+
+def _assert_same_as_python(out_f, tbl, label="", **kwargs):
+    """Every column but the wall-clock parse_us equals _call_python's."""
+    out_s = ExtractPages(**kwargs)._call_python(tbl)
     assert out_f.schema == out_s.schema, label
     for name in out_f.schema.names:
         if name == "parse_us":  # wall-clock timing, legitimately different
@@ -144,6 +149,11 @@ def test_adversarial_identical():
     # and all of them as single-row batches (per-doc edge handling)
     for i, case in enumerate(ADVERSARIAL):
         _assert_identical(_table([case]), f"adversarial[{i}]")
+    # a 0-row batch (the resume filter in extract_pages can produce one)
+    empty = pa.table(
+        {"url": pa.array([], pa.string()), "html": pa.array([], pa.large_binary())}
+    )
+    _assert_identical(empty, "adversarial[0 rows]")
 
 
 def test_no_spans_identical():
@@ -170,9 +180,14 @@ def test_fuzz_no_divergence():
     _assert_identical(_table(blobs), "fuzz")
 
 
+# rows the kernel never accepts: declines and ParseErrors only
+NO_FAST_ROWS = [b"&nbsp;&nbsp;", b"", b"   \n\t  ", b"&nbsp;&nbsp;", b""]
+
+
 def test_mixed_batch_with_declines_and_errors():
     """A batch interleaving fast docs, per-doc declines (kernel corner),
-    and error rows exercises the merge path in _call_fast."""
+    and error rows: _call_fast answers the accepted rows, _call_python the
+    rest, and the two tables merge back into input order."""
     from fuzi_rd.sources.pages import pages_table
 
     good = pages_table(20, start=50).column("html").to_pylist()
@@ -184,6 +199,36 @@ def test_mixed_batch_with_declines_and_errors():
         if i % 4 == 0:
             mixed.append(b"")  # ParseError -> error row
     _assert_identical(_table(mixed), "mixed")
+    # no row accepted: the fast table is empty and only the merge runs
+    _assert_identical(_table(NO_FAST_ROWS), "mixed-no-fast")
+
+
+def test_whole_batch_safety_net(monkeypatch):
+    """A fast-path exception redoes the whole batch in _call_python, counts
+    one fallback, and leaves the instance on the fast path for the next
+    batch."""
+    from fuzi_rd.fastextract import BatchExtractor
+    from fuzi_rd.sources.pages import pages_table
+
+    finish = BatchExtractor.finish
+    calls = []
+
+    def finish_failing_once(self, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("injected fast-path failure")
+        return finish(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchExtractor, "finish", finish_failing_once)
+    ep = ExtractPages()
+    tbl = _table(ADVERSARIAL)
+    before = ExtractPages.fast_batch_fallbacks
+    _assert_same_as_python(ep(tbl), tbl, "safety-net")
+    assert ExtractPages.fast_batch_fallbacks == before + 1
+    nxt = pages_table(40, start=200)
+    _assert_same_as_python(ep(nxt), nxt, "after-safety-net")
+    assert len(calls) == 2, "next batch must take the fast path"
+    assert ExtractPages.fast_batch_fallbacks == before + 1
 
 
 def test_batch_extractor_reuse_across_batches():
@@ -196,14 +241,7 @@ def test_batch_extractor_reuse_across_batches():
     t2 = pages_table(60, start=60)
     for tbl in (t1, t2, t1):
         _assert_identical(tbl, "reuse")  # fresh instance
-        out = ep(tbl)  # reused instance
-        slow = ExtractPages()
-        slow._fast = None
-        ref = slow._call_python(tbl)
-        for name in out.schema.names:
-            if name == "parse_us":
-                continue
-            assert out.column(name).equals(ref.column(name)), ("reuse", name)
+        _assert_same_as_python(ep(tbl), tbl, "reuse")  # reused instance
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +343,8 @@ def test_emit_links_mixed_batch_identical():
     for i, g in enumerate(good):
         mixed.append(g)
         if i % 3 == 0:
-            mixed.append(b"&nbsp;&nbsp;")  # decline -> python per-doc links
+            mixed.append(b"&nbsp;&nbsp;")  # decline -> _call_python links
         if i % 4 == 0:
             mixed.append(b"")  # ParseError -> error row, empty links
     _assert_identical(_table(mixed), "links-mixed", emit_links=True)
+    _assert_identical(_table(NO_FAST_ROWS), "links-no-fast", emit_links=True)

@@ -535,6 +535,26 @@ def test_postings_rebuild_replaces_partial_build(ray_session, tmp_path):
     assert got == [(1, 1), (2, 1)]  # no duplicated postings
 
 
+def test_postings_corpus_without_tokens(ray_session, tmp_path):
+    """Blank documents write no bucket: the build still commits an index
+    (with its _STATS sidecar), and lookups over it return no rows."""
+    import json
+    import pathlib
+
+    import ray
+
+    from fuzi_rd.functions.postings import bm25_topk, build_postings, lookup_token
+
+    docs = [(1, ""), (2, "   \n\t ")]
+    idx = build_postings(
+        ray.data.from_arrow(_docs(docs)), str(tmp_path / "idx"), n_buckets=4
+    )
+    stats = json.loads((pathlib.Path(idx) / "_STATS").read_text())
+    assert stats == {"n_docs": 2, "sum_dl": 0, "n_buckets": 4}
+    assert lookup_token(idx, "apple").take_all() == []
+    assert bm25_topk(idx, "apple", k=3).take_all() == []
+
+
 def test_bm25_topk_matches_reference_formula(ray_session, tmp_path):
     """BM25 over the bucket-pruned index equals a from-scratch pure-Python
     evaluation of the Robertson formula (k1=1.25, b=0.75, micro
