@@ -102,9 +102,11 @@ def hash_join(left, right, join_type: str, num_partitions: int, on: tuple):
     the aggregators get at most 0.125 CPU per partition and together at
     most half the CPUs rounded down to a whole CPU, so one CPU stays free
     for those tasks (Ray's own rule when it knows the cluster size).  Their
-    memory is Ray's estimate, capped so that one join reserves at most a
-    quarter of the cluster's Ray memory (a plan may run a few joins at
-    once).  Only the reservation changes, not the partitions."""
+    memory is Ray's estimate, capped so that one join reserves at most an
+    eighth of the cluster's Ray memory: a plan may run a few joins at once
+    (the referential-integrity report runs four), and the shuffle tasks
+    feeding them reserve memory too, so four joins leave them half of it.
+    Only the reservation changes, not the partitions."""
     import math
 
     import ray
@@ -128,7 +130,7 @@ def hash_join(left, right, join_type: str, num_partitions: int, on: tuple):
             "memory": int(
                 min(
                     (2 * num_partitions / n_agg + 5) * block,
-                    resources.get("memory", 0) / 4 / n_agg,
+                    resources.get("memory", 0) / 8 / n_agg,
                 )
             ),
             "scheduling_strategy": "SPREAD",

@@ -4,35 +4,40 @@
       -> ExtractPages (read-fused tasks)  main-content text + spans
       -> keep status == 'ok' and non-empty text
       -> lang-id + quality gate           (single fused batch pass)
-      -> materialized corpus              (dedup reads it twice)
-      -> exact dedup on extracted text    (hash groupby + semi-join keep)
+      -> exact dedup on extracted text    (losers: every url of a content
+                                           hash but the minimum one)
       -> partitioned write + manifests    (same layout/resume as extraction)
 
 Every stage is a batch transform over one streaming Dataset; the only
-all-to-all exchanges are the dedup groupby on 16-byte digests and the
-winner semi-join on urls.  This is the pipeline a 100 TB crawl-to-corpus
-job runs; each piece is individually oracle-verified, this module is their
-composition.
+all-to-all exchange the job form runs is the ``dedup_losers`` groupby of
+(content_hash, url, part) triples.  This is the pipeline a 100 TB
+crawl-to-corpus job runs; each piece is individually oracle-verified,
+this module is their composition.
 
 ``run_corpus`` is the job form: two-level crash resume for BOTH the
 partitioned parquet checkpoint (the expensive extraction) and the final
 deduplicated output, each stage on ``state/manifest.py::run_parts``, the
-same resume path as the extraction job.  Resume correctness hinges on one
-invariant: exact-dedup winners are a pure function of the FULL checkpoint
-(min url per content hash), so recomputing only the missing output
-partitions against the full checkpoint reproduces a fresh run
-byte-for-byte.
+same resume path as the extraction job.  The checkpoint and the output
+share the url-hash part layout, so dedup moves no corpus row: a final part
+without losers hard-links its checkpoint files, and only a part with
+losers is read, filtered and rewritten.  Resume correctness hinges on one
+invariant: the losers are a pure function of the FULL checkpoint, so
+recomputing only the missing output partitions against the full
+checkpoint reproduces a fresh run byte-for-byte.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import shutil
 import time
 from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from fuzi_rd.functions.textstats import guess_lang, quality_batch
 from fuzi_rd.pipelines.extraction import extract_dataset
@@ -45,7 +50,6 @@ def corpus_dataset(
     min_text_len: int = 30,
     batch_size: int = 256,
     dedup: bool = True,
-    num_partitions: int | None = None,
     num_parts: int = DEFAULT_NUM_PARTS,
     skip_parts: set[int] | None = None,
     emit_markdown: bool = False,
@@ -70,7 +74,9 @@ def corpus_dataset(
 
     With ``dedup`` the cleaned corpus is materialized in the (cluster-wide)
     object store before the dedup consumes it twice, so extraction runs
-    once; ``run_corpus`` checkpoints it to parquet instead, for resume."""
+    once, and the ``dedup_losers`` urls are anti-joined out of it;
+    ``run_corpus`` checkpoints it to parquet instead, for resume, and
+    moves no row of it to dedup."""
     extracted = extract_dataset(
         pages_ds,
         batch_size=batch_size,
@@ -132,8 +138,27 @@ def corpus_dataset(
     if not dedup:
         return corpus
 
+    from fuzi_rd.functions.dedup import anti_join
+
     corpus = corpus.materialize()
-    return _dedup_keep_by_hash_subset(corpus, corpus, num_partitions)
+    losers = dedup_losers(corpus).select_columns(["url"]).materialize()
+    # Ray's join cannot find the key column of a side with no rows
+    return anti_join(corpus, losers, "url") if losers.count() else corpus
+
+
+def dedup_losers(corpus):
+    """Exact dedup on the EXTRACTED text: the (url, part) rows to drop, i.e.
+    every url of a ``content_hash`` except the minimum one.  Only the
+    (content_hash, url, part) triples cross the groupby exchange, and the
+    losers stay a Dataset: no winner or loser set is held on the driver."""
+    return corpus.select_columns(["content_hash", "url", "part"]).groupby(
+        "content_hash"
+    ).map_groups(_group_losers, batch_format="pyarrow")
+
+
+def _group_losers(group: pa.Table) -> pa.Table:
+    urls = group.column("url")
+    return group.filter(pc.not_equal(urls, pc.min(urls))).select(["url", "part"])
 
 
 # -- job form: partitioned writes + two-level crash resume -------------------
@@ -145,28 +170,36 @@ def run_corpus(
     min_text_len: int = 30,
     batch_size: int = 256,
     num_parts: int = DEFAULT_NUM_PARTS,
-    num_partitions: int | None = None,
     resume: bool = True,
     run_id: str = "run",
     emit_markdown: bool = False,
     emit_metadata: bool = False,
 ) -> dict:
     """Full crawl-to-corpus job: read -> extract/clean -> checkpoint ->
-    global exact dedup -> partitioned write, resumable at two levels.
+    global exact dedup -> final parts, resumable at two levels.
 
     Layout (everything under ``out_dir``, i.e. on the job's shared
     storage — the checkpoint is NOT node-local /tmp):
 
-        out/_checkpoint/part=<k>/...   cleaned pre-dedup corpus
-        out/part=<k>/...               deduplicated corpus
+        out/_checkpoint/part=<k>/...          cleaned pre-dedup corpus
+        out/_checkpoint/_losers/part=<k>/...  dedup losers (url) of part k
+        out/part=<k>/...                      deduplicated corpus
 
-    each with its own ``_manifests/`` and ``_metrics/``.
+    each level with its own ``_manifests/`` and ``_metrics/``; a final
+    manifest also counts its ``dup_dropped`` rows.
+
+    Dedup reads only (content_hash, url, part) from the checkpoint and
+    writes the losers (``dedup_losers``) bucketed by part.  Then each
+    final part, one per task batch, either hard-links the part's
+    checkpoint files (no losers: its manifest sums are the checkpoint's)
+    or is rewritten without its losers.  The output directory must be on
+    a POSIX file system that supports hard links.
 
     Resume: (1) pages of checkpoint partitions with manifests are dropped
     before extraction (`part` is a pure function of url, so skipping
     completed parts loses nothing); (2) final partitions with manifests
-    are skipped, and only missing ones are recomputed — against the FULL
-    checkpoint, so dedup winners (min url per content hash) are identical to a fresh
+    are skipped, and only missing ones are recomputed — against losers
+    recomputed from the FULL checkpoint, so they are identical to a fresh
     run's and the resumed output is byte-identical."""
     import ray
 
@@ -181,7 +214,7 @@ def run_corpus(
     def cleaned(done: set[int]):
         if len(done) >= num_parts:
             return None
-        return corpus_dataset(
+        corpus = corpus_dataset(
             ray.data.read_parquet(input_path, columns=["url", "html"]),
             min_text_len=min_text_len,
             batch_size=batch_size,
@@ -191,44 +224,74 @@ def run_corpus(
             emit_markdown=emit_markdown,
             emit_metadata=emit_metadata,
         )
+        return mf.write_parts(corpus, ckpt_dir, writer_batch, sums)
 
-    mf.run_parts(ckpt_dir, run_id, cleaned, writer_batch, sums)
+    mf.run_parts(ckpt_dir, run_id, cleaned)
 
-    # -- stage B: global winners over the FULL checkpoint, write only the
-    # missing final partitions
+    # -- stage B: losers over the FULL checkpoint, then the missing final
+    # parts, each linked or filtered from its checkpoint part
     def deduped(done: set[int]):
-        corpus = ray.data.read_parquet(ckpt_dir).map_batches(
-            _part_i32, batch_format="pyarrow"
+        ckpt_rows = {m["part"]: m["rows"] for m in mf.read_manifests(ckpt_dir)}
+        todo = sorted(set(ckpt_rows) - done)
+        if not todo:
+            return None
+        # one task per CPU, and at most ~2^20 pairs (~100 MB) per block,
+        # sized from the checkpoint manifests' exact row counts.  With
+        # Ray's default (a read task per few checkpoint files, a final-part
+        # task per part) per-task overhead took over half of a 3 s stage B
+        # at 1200 docs in 256 parts on a 2-CPU session
+        cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
+        losers = Path(ckpt_dir) / "_losers"
+        shutil.rmtree(losers, ignore_errors=True)
+        pairs = ray.data.read_parquet(
+            ckpt_dir,
+            columns=["content_hash", "url", "part"],
+            override_num_blocks=max(cpus, -(-sum(ckpt_rows.values()) // 2**20)),
         )
-        todo = corpus.filter(expr=f"part not in {sorted(done)}") if done else corpus
-        return _dedup_keep_by_hash_subset(corpus, todo, num_partitions)
+        dedup_losers(pairs).write_parquet(str(losers), partition_cols=["part"])
+        return ray.data.from_items(
+            [{"part": k} for k in todo], override_num_blocks=min(cpus, len(todo))
+        ).map_batches(
+            _final_parts,
+            batch_size=1,
+            batch_format="pyarrow",
+            fn_kwargs={"ckpt_dir": ckpt_dir, "out_dir": out_dir, "sums": sums},
+        )
 
-    roll = mf.run_parts(out_dir, run_id, deduped, writer_batch, sums)
+    roll = mf.run_parts(out_dir, run_id, deduped)
     roll["wall_s"] = time.monotonic() - t0
     return roll
 
 
-def _part_i32(batch: pa.Table) -> pa.Table:
-    # hive partitioning re-infers `part`; pin the dtype the writer uses
-    i = batch.schema.get_field_index("part")
-    return batch.set_column(i, "part", pc.cast(batch.column("part"), pa.int32()))
-
-
-def _dedup_keep_by_hash_subset(full_corpus, subset, num_partitions=None):
-    """Exact dedup on the EXTRACTED text: winners (min url per content
-    hash) computed over the FULL corpus; the keep filter applied to
-    ``subset`` (the partitions being (re)computed, or the full corpus).
-    The winner scan shuffles only (16-byte hash, url) pairs; the winner-url
-    dataset then semi-joins back against the subset (hash-partitioned on
-    url) — no driver-side winner set, no broadcast (same shape as
-    exact_dedup_keep)."""
-    from fuzi_rd.functions.dedup import semi_join
-
-    pairs = full_corpus.select_columns(["content_hash", "url"])
-    winners_ds = pairs.groupby("content_hash").min("url")
-
-    def _urls_only(batch: pa.Table) -> pa.Table:
-        return pa.table({"url": batch.column("min(url)")})
-
-    keep_urls = winners_ds.map_batches(_urls_only, batch_format="pyarrow")
-    return semi_join(subset, keep_urls, "url", num_partitions)
+def _final_parts(batch: pa.Table, ckpt_dir: str, out_dir: str, sums: dict) -> pa.Table:
+    """Task UDF: write the final parts named in ``batch`` from their
+    checkpoint parts and return their stat rows, in ``part_writer``'s
+    shape plus ``dup_dropped``.  A part without losers hard-links the
+    checkpoint files and takes the checkpoint manifest's sums; a part with
+    losers is read, filtered and written by ``part_writer``."""
+    stats = []
+    for k in batch.column("part").to_pylist():
+        src, dst = Path(ckpt_dir) / f"part={k}", Path(out_dir) / f"part={k}"
+        shutil.rmtree(dst, ignore_errors=True)  # a retried task starts over
+        dst.mkdir(parents=True)
+        losers = Path(ckpt_dir) / "_losers" / f"part={k}"
+        if not losers.exists():
+            for f in src.glob("data-*.parquet"):
+                os.link(f, dst / f.name)
+            with open(mf.manifest_dir(ckpt_dir) / f"part-{k}.json") as fh:
+                m = json.load(fh)
+            keys = ("part", "rows", *sums, "text_checksum")
+            stats.append({**{c: m[c] for c in keys}, "dup_dropped": 0})
+            continue
+        part = pq.read_table(src)
+        kept = part.filter(
+            pc.invert(pc.is_in(part.column("url"), pq.read_table(losers).column("url")))
+        )
+        kept = kept.append_column("part", pa.array([k] * len(kept), pa.int32()))
+        written = mf.part_writer(out_dir, sums)(kept).to_pylist()
+        # a part whose every row lost is committed empty
+        row = written[0] if written else {
+            "part": k, "rows": 0, **{c: 0 for c in sums}, "text_checksum": 0
+        }
+        stats.append({**row, "dup_dropped": len(part) - len(kept)})
+    return pa.Table.from_pylist(stats)

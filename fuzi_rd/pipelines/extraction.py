@@ -132,13 +132,14 @@ def run_extraction(
                     return None  # every input partition is already complete
                 read_paths, skip_parts = pruned, set()
         ds = ray.data.read_parquet(read_paths, columns=["url", "html"])
-        return extract_dataset(
+        extracted = extract_dataset(
             ds,
             recipe=recipe,
             batch_size=batch_size,
             num_parts=num_parts,
             skip_parts=skip_parts,
         )
+        return mf.write_parts(extracted, out_dir, writer_batch, sums)
 
     # Writer batch sizing: each writer task writes ~one file per url-hash
     # part it sees, so rows-per-file ~= writer_batch / num_parts.  Scale the
@@ -152,7 +153,7 @@ def run_extraction(
     sums = {
         "bytes_in": "html_bytes", "bytes_out": "text_len", "parse_us_sum": "parse_us",
     }
-    return mf.run_parts(out_dir, run_id, build, writer_batch, sums)
+    return mf.run_parts(out_dir, run_id, build)
 
 
 def _prune_input_parts(input_path, completed: set[int]) -> list[str] | None:

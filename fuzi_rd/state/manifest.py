@@ -13,12 +13,14 @@ Layout (next to the partitioned Parquet output):
 A partition is complete iff its manifest exists.  ``run_parts`` is the
 resume protocol of the extraction job and of both corpus-job stages: it
 scans `_manifests/`, deletes the data of parts without one
-(``clean_incomplete``), asks its caller for a Dataset of the missing parts
-only (the caller prunes completed partitions from its input: the partition
-id is a pure function of url), writes them with ``write_parts`` — the one
-partitioned writer — and commits their manifests and the run metrics.
-Manifest content (extraction; a corpus manifest has run_id, part, rows,
-bytes_out and text_checksum):
+(``clean_incomplete``), asks its caller for a Dataset of per-part stat rows
+covering the missing parts only (``write_parts`` — the one partitioned
+writer — turns a Dataset of rows into one; the caller prunes completed
+partitions from its input: the partition id is a pure function of url),
+and commits their manifests and the run metrics.
+Manifest content (extraction; a corpus checkpoint manifest has run_id,
+part, rows, bytes_out and text_checksum, a final corpus manifest also
+dup_dropped):
 
     {run_id, part, rows, ok_rows, error_rows, bytes_in, bytes_out,
      parse_us_sum, text_checksum}
@@ -83,7 +85,10 @@ def rollup(out_dir: str) -> dict:
     """Aggregate all partition manifests into run-level metrics."""
     manifests = read_manifests(out_dir)
     total = {"parts": len(manifests)}
-    for k in ("rows", "ok_rows", "error_rows", "bytes_in", "bytes_out", "parse_us_sum"):
+    for k in (
+        "rows", "ok_rows", "error_rows", "bytes_in", "bytes_out", "parse_us_sum",
+        "dup_dropped",
+    ):
         total[k] = sum(m.get(k, 0) for m in manifests)
     return total
 
@@ -100,7 +105,7 @@ def clean_incomplete(out_dir: str, completed: set[int]) -> None:
             shutil.rmtree(d, ignore_errors=True)
 
 
-def _part_writer(out_dir: str, sums: dict[str, str]):
+def part_writer(out_dir: str, sums: dict[str, str]):
     """Writer task: split one batch by url-hash part, append one parquet
     file per (task, part) with a deterministic content-hash name (retries
     rewrite the same file — idempotent), return tiny per-part stat rows:
@@ -136,11 +141,15 @@ def _part_writer(out_dir: str, sums: dict[str, str]):
             ).hexdigest()
             pdir = pathlib.Path(out_dir) / f"part={part}"
             pdir.mkdir(parents=True, exist_ok=True)
+            # written under a temp name, then renamed: a file is never
+            # seen half-written, and one that shares its inode with another
+            # directory (the corpus job links final parts to its
+            # checkpoint) is replaced, never truncated
+            name = f"data-{token}-{len(sub)}.parquet"
             pq.write_table(
-                sub.drop_columns(["part"]),
-                pdir / f"data-{token}-{len(sub)}.parquet",
-                compression="zstd",
+                sub.drop_columns(["part"]), pdir / f".{name}.tmp", compression="zstd"
             )
+            os.replace(pdir / f".{name}.tmp", pdir / name)
             stats["part"].append(part)
             stats["rows"].append(len(sub))
             if counted:
@@ -164,43 +173,41 @@ def _part_writer(out_dir: str, sums: dict[str, str]):
     return write_block
 
 
-def write_parts(ds, out_dir: str, run_id: str, batch_size: int, sums: dict[str, str]):
-    """Shuffle-free partitioned write + per-part manifests.
+def write_parts(ds, out_dir: str, batch_size: int, sums: dict[str, str]):
+    """Shuffle-free partitioned write: the lazy Dataset of per-(task, part)
+    stat rows that ``part_writer`` tasks return after writing ``ds``.
 
-    Writer tasks split each batch by the url-hash ``part`` column (see
-    ``_part_writer``); only their tiny per-(task, part) stat rows reach the
-    driver, which sums them per part and commits one manifest per part
-    holding ``run_id`` and those sums.  The extracted text itself never
-    crosses an all-to-all exchange.  Returns the stats Dataset (its Ray
-    Data stats feed the run metrics)."""
-    stats_ds = ds.map_batches(
-        _part_writer(out_dir, sums), batch_size=batch_size, batch_format="pyarrow"
+    Writer tasks split each batch by the url-hash ``part`` column; only
+    their tiny stat rows reach the driver (in ``run_parts``), so the
+    extracted text itself never crosses an all-to-all exchange."""
+    return ds.map_batches(
+        part_writer(out_dir, sums), batch_size=batch_size, batch_format="pyarrow"
     )
-    agg: dict[int, dict] = {}
-    for row in stats_ds.take_all():  # O(tasks x parts-per-task) tiny rows
-        a = agg.setdefault(row.pop("part"), {"run_id": run_id})
-        for k, v in row.items():
-            a[k] = a.get(k, 0) + v
-    for part, stats in agg.items():
-        stats["text_checksum"] %= 2**63
-        write_manifest(out_dir, part, stats)
-    return stats_ds
 
 
-def run_parts(out_dir: str, run_id: str, build, batch_size: int, sums: dict[str, str]) -> dict:
+def run_parts(out_dir: str, run_id: str, build) -> dict:
     """Resume protocol: read the completed parts, delete the data of the
-    others, write ``build(done)`` — a Dataset of the parts not in ``done``,
-    or None when nothing is left to read — with ``write_parts``, and commit
-    ``_metrics/run-<run_id>.json``.  Returns the manifest roll-up plus
-    ``wall_s``.
+    others, run ``build(done)`` — a Dataset of the stat rows of the parts
+    not in ``done`` (see ``write_parts``), or None when nothing is left —
+    sum its rows per part, commit one manifest per part holding ``run_id``
+    and those sums, and write ``_metrics/run-<run_id>.json``.  Returns the
+    manifest roll-up plus ``wall_s``.
 
     Never wipes ``out_dir`` itself (it may hold another stage's output):
     a job that does not resume clears its output once, before this call."""
     t0 = time.monotonic()
     done = completed_parts(out_dir)
     clean_incomplete(out_dir, done)
-    ds = build(done)
-    stats_ds = None if ds is None else write_parts(ds, out_dir, run_id, batch_size, sums)
+    stats_ds = build(done)
+    agg: dict[int, dict] = {}
+    for row in [] if stats_ds is None else stats_ds.take_all():
+        # O(tasks x parts-per-task) tiny rows
+        a = agg.setdefault(row.pop("part"), {"run_id": run_id})
+        for k, v in row.items():
+            a[k] = a.get(k, 0) + v
+    for part, stats in agg.items():
+        stats["text_checksum"] %= 2**63
+        write_manifest(out_dir, part, stats)
     roll = rollup(out_dir)
     roll["wall_s"] = time.monotonic() - t0
     _write_run_metrics(out_dir, run_id, roll, stats_ds)

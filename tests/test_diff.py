@@ -90,7 +90,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-ray.init(address="local", num_cpus=4, _memory=8 * 2**30, include_dashboard=False)
+ray.init(address="local", num_cpus=4, _memory=2 * 2**30, include_dashboard=False)
 from fuzi_rd.functions.dedup import anti_join
 
 d = sys.argv[1]
@@ -114,9 +114,9 @@ ray.shutdown()
 """
 
 
-def _run_child(tmp_path, script: str, *args: str) -> None:
-    """Run ``script`` in a child Python process with a 180 s limit, so a
-    Ray job that hangs cannot wedge this one."""
+def _run_child(tmp_path, script: str, *args: str, limit_s: int = 180) -> None:
+    """Run ``script`` in a child Python process with a ``limit_s`` limit,
+    so a Ray job that hangs cannot wedge this one."""
     import os
     import pathlib
     import signal
@@ -133,11 +133,11 @@ def _run_child(tmp_path, script: str, *args: str) -> None:
             start_new_session=True,
         )
         try:
-            child.wait(timeout=180)
+            child.wait(timeout=limit_s)
         except subprocess.TimeoutExpired:
             os.killpg(child.pid, signal.SIGKILL)
             child.wait()
-            pytest.fail(f"child Ray job {args} ran past 180 s")
+            pytest.fail(f"child Ray job {args} ran past {limit_s} s")
         log.seek(0)
         assert child.returncode == 0, log.read()[-2000:]
 
@@ -154,9 +154,10 @@ def test_join_finishes_on_small_memory_cluster(tmp_path, num_cpus):
 
 def test_concurrent_joins_leave_memory_for_shuffle_tasks(tmp_path):
     """Four small joins run at once (as in the referential-integrity
-    report) must finish: Ray's shuffle tasks reserve memory too, so the
-    aggregators of one tiny join may not take a whole quarter of the
-    cluster's Ray memory when Ray's own estimate for them is smaller."""
+    report) must finish within 120 s on a cluster with 2 GiB of Ray
+    memory: Ray's shuffle tasks reserve memory too, so the aggregators of
+    one tiny join may not take a quarter of it (four joins took all of it
+    and never finished)."""
     data = tmp_path / "data"
     data.mkdir()
-    _run_child(tmp_path, _CONCURRENT_JOINS, str(data))
+    _run_child(tmp_path, _CONCURRENT_JOINS, str(data), limit_s=120)

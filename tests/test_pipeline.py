@@ -562,6 +562,136 @@ def test_corpus_fused_markdown_metadata_identity(ray_session, pages_dir):
             assert r[fused_col] == meta[url][standalone_col], (url, fused_col)
 
 
+def test_part_writer_leaves_no_torn_file(tmp_path, monkeypatch):
+    """A writer that fails partway through a file leaves no ``data-*.parquet``
+    under its final name: files are written under a temp name and renamed,
+    so none is ever truncated in place (final corpus parts share inodes
+    with the checkpoint's)."""
+    import pyarrow as pa
+
+    def torn_write(table, where, **kwargs):
+        with open(where, "wb") as f:
+            f.write(b"PAR1 torn")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(mf.pq, "write_table", torn_write)
+    batch = pa.table({
+        "url": ["a", "b"], "part": pa.array([1, 1], pa.int32()),
+        "text_len": [1, 2], "text_hash": [3, 4],
+    })
+    with pytest.raises(OSError, match="disk full"):
+        mf.part_writer(str(tmp_path), {"bytes_out": "text_len"})(batch)
+    assert list(tmp_path.rglob("data-*.parquet")) == []
+
+
+def _pages_with_copies(d, num_parts: int) -> None:
+    """40 fixture pages plus 7 copies of 3 of their htmls under other
+    hosts: one copy per html sorts before the original url (it wins) and
+    one after (it loses), so the losers sit in other parts than their
+    winners; the last copy is the only url of its part."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from fuzi_rd.sources.pages import pages_table
+    from fuzi_rd.stages.extractor import url_part
+
+    t = pages_table(40)
+    src = t.take([0, 5, 10])
+    copies = [
+        src.set_column(0, "url", pa.array(
+            [u.replace("fixtures.test", host) for u in src.column("url").to_pylist()]
+        ))
+        for host in ("a-mirror.test", "z-mirror.test")
+    ]
+    taken = {url_part(u, num_parts) for c in (t, *copies) for u in c.column("url").to_pylist()}
+    solo = next(
+        u for u in (f"https://z-solo.test/{i}" for i in range(1000))
+        if url_part(u, num_parts) not in taken
+    )
+    copies.append(src.slice(1, 1).set_column(0, "url", pa.array([solo])))
+    d.mkdir()
+    pq.write_table(pa.concat_tables([t, *copies]), d / "pages.parquet")
+
+
+def test_corpus_job_drops_copies_and_links_clean_parts(ray_session, tmp_path):
+    """Pages that repeat an html under urls of other parts: the output is
+    the min url per content hash; every final manifest counts its losers
+    (rows + dup_dropped == checkpoint rows); parts without losers are hard
+    links to the checkpoint files, parts with losers are rewritten; a
+    resume that lost one part of each kind reproduces the fresh run's
+    manifests and rows; a part whose only row lost is committed empty;
+    ``corpus_dataset`` keeps the same urls."""
+    import os
+    import pathlib
+
+    import ray
+
+    from fuzi_rd.pipelines.corpus import corpus_dataset, run_corpus
+    from fuzi_rd.stages.extractor import url_part
+
+    num_parts = 64
+    pages = tmp_path / "pages"
+    _pages_with_copies(pages, num_parts)
+    fresh = str(tmp_path / "fresh")
+    roll = run_corpus(str(pages), fresh, num_parts=num_parts, resume=False, batch_size=16)
+    ck = f"{fresh}/_checkpoint"
+
+    best: dict[str, str] = {}
+    ckpt = ray.data.read_parquet(ck, columns=["content_hash", "url"]).take_all()
+    for r in ckpt:
+        h = r["content_hash"]
+        best[h] = min(best.get(h, r["url"]), r["url"])
+    want = set(best.values())
+    losers = {r["url"] for r in ckpt} - want
+    assert len(losers) >= 4 and roll["dup_dropped"] == len(losers)
+    loser_parts = {url_part(u, num_parts) for u in losers}
+    assert any(  # a copy and its winner in different parts
+        url_part(r["url"], num_parts) != url_part(best[r["content_hash"]], num_parts)
+        for r in ckpt if r["url"] in losers
+    )
+
+    def rows_by_url(out):
+        rows = ray.data.read_parquet(out).take_all()
+        assert len(rows) == len({r["url"] for r in rows})
+        return {r["url"]: r for r in rows}
+
+    got = rows_by_url(fresh)
+    assert set(got) == want
+
+    ck_rows = {m["part"]: m["rows"] for m in mf.read_manifests(ck)}
+    manifests = {m["part"]: m for m in mf.read_manifests(fresh)}
+    assert set(manifests) == set(ck_rows)
+    for k, m in manifests.items():
+        assert m["rows"] + m["dup_dropped"] == ck_rows[k], k
+        assert (m["dup_dropped"] > 0) == (k in loser_parts), k
+    assert any(m["rows"] == 0 for m in manifests.values())  # the solo copy
+    clean = sorted(set(manifests) - loser_parts)
+    assert clean and loser_parts
+
+    def assert_links(out, parts):
+        for k in parts:
+            for f in pathlib.Path(f"{out}/part={k}").iterdir():
+                src = pathlib.Path(f"{out}/_checkpoint/part={k}/{f.name}")
+                linked = src.exists() and os.stat(src).st_ino == os.stat(f).st_ino
+                assert linked == (k not in loser_parts), (k, f.name)
+
+    assert_links(fresh, manifests)
+
+    crash = str(tmp_path / "crashed")
+    shutil.copytree(fresh, crash)
+    lost = [min(loser_parts), clean[0]]
+    for k in lost:
+        (mf.manifest_dir(crash) / f"part-{k}.json").unlink()
+        shutil.rmtree(f"{crash}/part={k}")
+    run_corpus(str(pages), crash, num_parts=num_parts, resume=True, batch_size=16)
+    assert_links(crash, lost)
+    assert mf.read_manifests(crash) == mf.read_manifests(fresh)
+    assert rows_by_url(crash) == got
+
+    ds = ray.data.read_parquet(str(pages), columns=["url", "html"])
+    assert {r["url"] for r in corpus_dataset(ds, batch_size=16).take_all()} == want
+
+
 def test_curation_stage(ray_session):
     """curate_dataset: signal gates drop degenerate docs, the blocklist
     drops its domains, and the per-stratum quota keeps small strata whole."""
