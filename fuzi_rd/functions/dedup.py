@@ -138,6 +138,23 @@ def hash_join(left, right, join_type: str, num_partitions: int, on: tuple):
     )
 
 
+def _null_key_first(ds, keys_ds, key: str):
+    """``keys_ds`` behind one row whose ``key`` is null, typed like
+    ``ds``'s key (the type comes from ``ds``'s schema, which may run
+    ``ds`` up to its first block).  Ray's join sends the key side's schema
+    to every partition only from the first block it sees, so a key side
+    with no rows, or whose first block is empty, leaves partitions without
+    the key column.  The null row is that first block, and a null key
+    matches nothing, so an inner or anti join's result is unchanged."""
+    import ray
+
+    schema = ds.schema()
+    if schema is None:
+        return keys_ds
+    null = pa.nulls(1, dict(zip(schema.names, schema.types))[key])
+    return ray.data.from_arrow(pa.table({key: null})).union(keys_ds)
+
+
 def semi_join(ds, keys_ds, key: str, num_partitions: int | None = None):
     """Distributed semi-join: rows of ``ds`` whose ``key`` appears in
     ``keys_ds`` (which must contain exactly the key column).
@@ -145,9 +162,14 @@ def semi_join(ds, keys_ds, key: str, num_partitions: int | None = None):
     Both sides hash-partition on the key and join per partition — no
     driver-side materialization and no broadcast of the key set, so it
     holds when the key set is a large fraction of the corpus (the exact
-    winner set of a dedup IS nearly the whole corpus)."""
+    winner set of a dedup IS nearly the whole corpus).  The key side may
+    have no rows (see ``_null_key_first``)."""
     return hash_join(
-        ds, keys_ds, "inner", _semi_join_partitions(num_partitions), (key,)
+        ds,
+        _null_key_first(ds, keys_ds, key),
+        "inner",
+        _semi_join_partitions(num_partitions),
+        (key,),
     )
 
 
@@ -157,7 +179,11 @@ def anti_join(ds, keys_ds, key: str, num_partitions: int | None = None):
     hash-partitioned shape as ``semi_join`` — no driver-side key set, no
     broadcast — via the native ``left_anti`` join."""
     return hash_join(
-        ds, keys_ds, "left_anti", _semi_join_partitions(num_partitions), (key,)
+        ds,
+        _null_key_first(ds, keys_ds, key),
+        "left_anti",
+        _semi_join_partitions(num_partitions),
+        (key,),
     )
 
 

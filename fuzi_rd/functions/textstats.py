@@ -1,8 +1,18 @@
 """Text-analysis batch functions for training-data pipelines.
 
-All hot-path work is vectorized (pyarrow.compute regex kernels / numpy);
+All hot-path work is vectorized (pyarrow.compute kernels / numpy);
 outputs that feed the DuckDB correctness oracle are integer counts or md5
 strings so the cross-engine comparison is exact (no float drift).
+
+The statistics behind the quality gate read the text column's Arrow
+offset and data buffers: each ASCII character class is a 256-entry byte
+table and each document's count one segmented sum over the batch's bytes
+(exact, since ASCII bytes never occur inside a multi-byte UTF-8
+character), and tokens are the runs of RE2's ``\\s`` inside the trimmed
+text.  ``guess_lang`` skips its script count for an ASCII head and
+otherwise classifies the head's code points with one table lookup.
+``tests/test_functions.py`` keeps the regex and per-character forms as the
+references they must equal.
 
 Operators:
   token_stats     whitespace token count + char-class counts per document
@@ -19,34 +29,78 @@ Operators:
 from __future__ import annotations
 
 import hashlib
+import string
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 
+def _byte_class(chars: str) -> np.ndarray:
+    """256-entry lookup table: 1 for the bytes of the ASCII ``chars``."""
+    lut = np.zeros(256, np.uint8)
+    lut[list(chars.encode("ascii"))] = 1
+    return lut
+
+
+_PUNCT = _byte_class(".,!?;:")
+_DIGIT = _byte_class(string.digits)
+_UPPER = _byte_class(string.ascii_uppercase)
+_ALPHA = _byte_class(string.ascii_letters)
+_SPACE = _byte_class("\t\n\f\r ")  # RE2's \s
+
+
+def _utf8_buffers(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-copy (offsets, data) views of a string / large_string Array:
+    row i is ``data[offsets[i]:offsets[i + 1]]`` and ``offsets[0] == 0``."""
+    _, off, data = arr.buffers()
+    dtype = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+    offsets = np.frombuffer(off, dtype, len(arr) + 1, arr.offset * dtype().itemsize)
+    lo, hi = int(offsets[0]), int(offsets[-1])
+    return offsets - lo, np.frombuffer(data or b"", np.uint8, hi - lo, lo)
+
+
+def _row_sums(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per-row sums of a uint8 byte mask, one segmented sum per batch."""
+    if not len(mask):
+        return np.zeros(len(offsets) - 1, np.int64)
+    # reduceat returns an empty row's next byte (and needs in-range starts)
+    out = np.add.reduceat(mask, np.minimum(offsets[:-1], len(mask) - 1), dtype=np.int64)
+    out[offsets[1:] == offsets[:-1]] = 0
+    return out
+
+
 def token_stats_batch(batch: pa.Table) -> pa.Table:
-    text = batch.column("text")
-    # tokens = non-empty runs of non-whitespace
-    n_tokens = pc.list_value_length(
-        pc.split_pattern_regex(pc.utf8_trim_whitespace(text), r"\s+")
-    )
-    # empty/whitespace-only text splits to [""] -> 1; fix to 0
-    trimmed_len = pc.utf8_length(pc.utf8_trim_whitespace(text))
-    n_tokens = pc.if_else(pc.equal(trimmed_len, 0), pa.scalar(0, pa.int32()), n_tokens)
-    n_chars = pc.utf8_length(text)
-    n_punct = pc.count_substring_regex(text, r"[.,!?;:]")
-    n_digit = pc.count_substring_regex(text, r"[0-9]")
-    n_upper = pc.count_substring_regex(text, r"[A-Z]")
-    n_alpha = pc.count_substring_regex(text, r"[A-Za-z]")
+    r"""Per document: ``n_chars`` (code points), ``n_tokens`` (the pieces
+    of the whitespace-trimmed text split on runs of RE2's ``\s``, 0 when
+    nothing is left), and the ``[.,!?;:]``, ``[0-9]``, ``[A-Z]`` and
+    ``[A-Za-z]`` counts, all read off the column's offset and data
+    buffers.  A null text has null stats."""
+    text = batch.column("text").combine_chunks()
+    offsets, data = _utf8_buffers(text)
+    counts = {
+        "n_punct": _row_sums(np.take(_PUNCT, data), offsets),
+        "n_digit": _row_sums(np.take(_DIGIT, data), offsets),
+        "n_upper": _row_sums(np.take(_UPPER, data), offsets),
+        "n_alpha": _row_sums(np.take(_ALPHA, data), offsets),
+    }
+    # a trimmed text neither starts nor ends with an ASCII space (Arrow's
+    # whitespace set holds RE2's), so its runs never cross rows, and a
+    # non-empty one splits into runs + 1 tokens
+    t_off, t_data = _utf8_buffers(pc.utf8_trim_whitespace(text))
+    space = np.take(_SPACE, t_data)
+    starts = np.empty_like(space)  # the first byte of each run
+    starts[:1] = space[:1]
+    np.greater(space[1:], space[:-1], out=starts[1:])
+    n_tokens = _row_sums(starts, t_off) + 1
+    n_tokens[t_off[1:] == t_off[:-1]] = 0
+    nulls = text.is_null().to_numpy(zero_copy_only=False) if text.null_count else None
     return pa.table(
         {
             "doc_id": batch.column("doc_id"),
-            "n_chars": pc.cast(n_chars, pa.int64()),
-            "n_tokens": pc.cast(n_tokens, pa.int64()),
-            "n_punct": pc.cast(n_punct, pa.int64()),
-            "n_digit": pc.cast(n_digit, pa.int64()),
-            "n_upper": pc.cast(n_upper, pa.int64()),
-            "n_alpha": pc.cast(n_alpha, pa.int64()),
+            "n_chars": pc.cast(pc.utf8_length(text), pa.int64()),
+            "n_tokens": pa.array(n_tokens, pa.int64(), mask=nulls),
+            **{k: pa.array(v, pa.int64(), mask=nulls) for k, v in counts.items()},
         }
     )
 
@@ -125,21 +179,33 @@ _STOPWORDS = {
 }
 
 
+# script of each BMP code point (every range lies in the BMP): 0 for none,
+# else 1 + its index in _SCRIPT_RANGES
+_SCRIPT_OF = np.zeros(0x10000, np.uint8)
+for _i, (_, _lo, _hi) in enumerate(_SCRIPT_RANGES):
+    _SCRIPT_OF[_lo : _hi + 1] = _i + 1
+
+
 def guess_lang(text: str) -> str:
+    """The script of at least a tenth of the first 2000 characters (the
+    most frequent one, a tie to the one seen first), else the stopword
+    set with the most distinct hits among the head's words, else "en"."""
     if not text:
         return "und"
-    counts: dict[str, int] = {}
-    for ch in text[:2000]:
-        cp = ord(ch)
-        for lang, lo, hi in _SCRIPT_RANGES:
-            if lo <= cp <= hi:
-                counts[lang] = counts.get(lang, 0) + 1
-                break
-    if counts:
-        best = max(counts, key=counts.get)
-        if counts[best] * 10 >= min(len(text), 2000):
-            return best
-    words = set(text[:2000].lower().split())
+    head = text[:2000]
+    if not head.isascii():  # every script range lies above ASCII
+        # UTF-16 units: a non-BMP character becomes two surrogates, which
+        # are in no range, so counts and first-seen order are kept
+        units = np.frombuffer(head.encode("utf-16-le", "surrogatepass"), np.uint16)
+        script = np.take(_SCRIPT_OF, units)
+        # no script reaches a tenth of the head unless all of them do
+        if np.count_nonzero(script) * 10 >= len(head):
+            counts = np.bincount(script, minlength=len(_SCRIPT_RANGES) + 1)[1:]
+            if counts.max() * 10 >= len(head):
+                tied = np.flatnonzero(counts == counts.max())
+                first = min(tied, key=lambda i: np.argmax(script == i + 1))
+                return _SCRIPT_RANGES[first][0]
+    words = set(head.lower().split())
     best_lang, best_hits = "en", 0
     for lang, sw in _STOPWORDS.items():
         hits = len(words & sw)

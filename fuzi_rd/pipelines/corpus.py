@@ -35,6 +35,7 @@ import shutil
 import time
 from pathlib import Path
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -77,73 +78,92 @@ def corpus_dataset(
     once, and the ``dedup_losers`` urls are anti-joined out of it;
     ``run_corpus`` checkpoints it to parquet instead, for resume, and
     moves no row of it to dedup."""
-    extracted = extract_dataset(
+    corpus = _tagged_corpus(
         pages_ds,
+        min_text_len,
         batch_size=batch_size,
         num_parts=num_parts,
         skip_parts=skip_parts,
         emit_markdown=emit_markdown,
         emit_metadata=emit_metadata,
         emit_links=emit_links,
-    )
-    extra_cols = (["markdown"] if emit_markdown else []) + (["links"] if emit_links else []) + (
-        [
-            "meta_title", "meta_description", "canonical_url", "meta_lang",
-            "robots_noindex", "robots_nofollow",
-            "og_title", "og_description", "og_image", "og_type",
-        ]
-        if emit_metadata
-        else []
-    )
-
-    def clean_and_annotate(batch: pa.Table) -> pa.Table:
-        # keep successful extractions with enough text
-        keep = pc.and_(
-            pc.equal(batch.column("status"), "ok"),
-            pc.greater_equal(batch.column("text_len"), min_text_len),
-        )
-        batch = batch.filter(keep)
-        texts = batch.column("extracted_text").to_pylist()
-        quality = quality_batch(
-            pa.table(
-                {
-                    "doc_id": pa.array(range(len(texts)), pa.int64()),
-                    "text": pa.array(texts, pa.string()),
-                }
-            )
-        )
-        batch = batch.filter(quality.column("quality_ok"))
-        texts = batch.column("extracted_text").to_pylist()
-        langs = [guess_lang(t) for t in texts]
-        digests = [
-            hashlib.md5(t.encode("utf-8")).hexdigest() for t in texts
-        ]
-        cols = {
-            "url": batch.column("url"),
-            "part": batch.column("part"),
-            "title": batch.column("title"),
-            "extracted_text": batch.column("extracted_text"),
-            "text_len": batch.column("text_len"),
-            "lang_guess": pa.array(langs, pa.string()),
-            "content_hash": pa.array(digests, pa.string()),
-            # per-row crc32 carried through for order-independent
-            # partition checksums in the manifests
-            "text_hash": batch.column("text_hash"),
-        }
-        for c in extra_cols:
-            cols[c] = batch.column(c)
-        return pa.table(cols)
-
-    corpus = extracted.map_batches(clean_and_annotate, batch_format="pyarrow")
+    ).map_batches(_kept_rows, batch_format="pyarrow")
     if not dedup:
         return corpus
 
     from fuzi_rd.functions.dedup import anti_join
 
     corpus = corpus.materialize()
-    losers = dedup_losers(corpus).select_columns(["url"]).materialize()
-    # Ray's join cannot find the key column of a side with no rows
-    return anti_join(corpus, losers, "url") if losers.count() else corpus
+    return anti_join(corpus, dedup_losers(corpus).select_columns(["url"]), "url")
+
+
+_META_COLS = (
+    "meta_title", "meta_description", "canonical_url", "meta_lang",
+    "robots_noindex", "robots_nofollow",
+    "og_title", "og_description", "og_image", "og_type",
+)
+
+
+def _tagged_corpus(pages_ds, min_text_len: int, **extract):
+    """Every extracted page, cleaned and annotated by ``_clean_and_annotate``
+    (lazy); ``extract`` holds ``extract_dataset``'s keyword arguments."""
+    extra_cols = (
+        (["markdown"] if extract.get("emit_markdown") else [])
+        + (["links"] if extract.get("emit_links") else [])
+        + (list(_META_COLS) if extract.get("emit_metadata") else [])
+    )
+    return extract_dataset(pages_ds, **extract).map_batches(
+        _clean_and_annotate,
+        batch_format="pyarrow",
+        fn_kwargs={"min_text_len": min_text_len, "extra_cols": extra_cols},
+    )
+
+
+def _clean_and_annotate(batch: pa.Table, min_text_len: int, extra_cols: list) -> pa.Table:
+    """Task UDF: the corpus columns of every row, with ``drop`` holding
+    the first reason the row leaves the corpus, as 1 + its index in
+    ``mf.DROP_REASONS`` (an extraction error, under ``min_text_len``
+    characters, the quality gate), or 0 when it stays.  Only kept rows get
+    a ``lang_guess`` and a ``content_hash``."""
+    text = batch.column("extracted_text")
+    quality = quality_batch(
+        pa.table({"doc_id": pa.nulls(len(batch), pa.int64()), "text": text})
+    ).column("quality_ok")
+    fails = [
+        pc.not_equal(batch.column("status"), "ok"),
+        pc.less(batch.column("text_len"), min_text_len),
+        pc.invert(quality),
+    ]
+    drop = np.select(
+        [f.to_numpy(zero_copy_only=False) for f in fails],
+        np.arange(1, len(fails) + 1, dtype=np.int8),
+        np.int8(0),
+    )
+    kept = np.flatnonzero(drop == 0)
+    langs, digests = [None] * len(batch), [None] * len(batch)
+    for i, t in zip(kept.tolist(), text.take(kept).to_pylist()):
+        langs[i] = guess_lang(t)
+        digests[i] = hashlib.md5(t.encode("utf-8")).hexdigest()
+    cols = {
+        "url": batch.column("url"),
+        "part": batch.column("part"),
+        "title": batch.column("title"),
+        "extracted_text": text,
+        "text_len": batch.column("text_len"),
+        "lang_guess": pa.array(langs, pa.string()),
+        "content_hash": pa.array(digests, pa.string()),
+        # per-row crc32 carried through for order-independent
+        # partition checksums in the manifests
+        "text_hash": batch.column("text_hash"),
+    }
+    for c in extra_cols:
+        cols[c] = batch.column(c)
+    cols["drop"] = pa.array(drop, pa.int8())
+    return pa.table(cols)
+
+
+def _kept_rows(batch: pa.Table) -> pa.Table:
+    return batch.filter(pc.equal(batch.column("drop"), 0)).drop_columns(["drop"])
 
 
 def dedup_losers(corpus):
@@ -185,8 +205,11 @@ def run_corpus(
         out/_checkpoint/_losers/part=<k>/...  dedup losers (url) of part k
         out/part=<k>/...                      deduplicated corpus
 
-    each level with its own ``_manifests/`` and ``_metrics/``; a final
-    manifest also counts its ``dup_dropped`` rows.
+    each level with its own ``_manifests/`` and ``_metrics/``; a
+    checkpoint manifest also counts the pages its part dropped
+    (``rows_in``, ``error_rows``, ``short_rows``, ``low_quality_rows``),
+    and a final manifest its ``dup_dropped`` rows.  Every one of the
+    ``num_parts`` parts is committed, empty if no page hashes into it.
 
     Dedup reads only (content_hash, url, part) from the checkpoint and
     writes the losers (``dedup_losers``) bucketed by part.  Then each
@@ -212,19 +235,28 @@ def run_corpus(
 
     # -- stage A: extract + clean into the partitioned checkpoint
     def cleaned(done: set[int]):
-        if len(done) >= num_parts:
+        todo = sorted(set(range(num_parts)) - done)
+        if not todo:
             return None
-        corpus = corpus_dataset(
+        corpus = _tagged_corpus(
             ray.data.read_parquet(input_path, columns=["url", "html"]),
-            min_text_len=min_text_len,
+            min_text_len,
             batch_size=batch_size,
-            dedup=False,
             num_parts=num_parts,
             skip_parts=done or None,
             emit_markdown=emit_markdown,
             emit_metadata=emit_metadata,
         )
-        return mf.write_parts(corpus, ckpt_dir, writer_batch, sums)
+        # a part no page hashes into is committed empty, so a finished
+        # checkpoint has every manifest and its resume reads no input
+        zeros = pa.array(np.zeros(len(todo), np.int64))
+        empty = pa.table({
+            "part": pa.array(todo, pa.int32()),
+            **dict.fromkeys(("rows", "rows_in", *mf.DROP_REASONS, *sums, "text_checksum"), zeros),
+        })
+        return mf.write_parts(corpus, ckpt_dir, writer_batch, sums).union(
+            ray.data.from_arrow(empty)
+        )
 
     mf.run_parts(ckpt_dir, run_id, cleaned)
 

@@ -19,7 +19,9 @@ writer — turns a Dataset of rows into one; the caller prunes completed
 partitions from its input: the partition id is a pure function of url),
 and commits their manifests and the run metrics.
 Manifest content (extraction; a corpus checkpoint manifest has run_id,
-part, rows, bytes_out and text_checksum, a final corpus manifest also
+part, rows, bytes_out, text_checksum and the drop counters, with
+``rows_in = rows + error_rows + short_rows + low_quality_rows``; a final
+corpus manifest has run_id, part, rows, bytes_out, text_checksum and
 dup_dropped):
 
     {run_id, part, rows, ok_rows, error_rows, bytes_in, bytes_out,
@@ -43,6 +45,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+
+# why the corpus job's cleaning drops a row, in the order it checks them
+DROP_REASONS = ("error_rows", "short_rows", "low_quality_rows")
 
 
 def manifest_dir(out_dir: str) -> pathlib.Path:
@@ -87,7 +93,7 @@ def rollup(out_dir: str) -> dict:
     total = {"parts": len(manifests)}
     for k in (
         "rows", "ok_rows", "error_rows", "bytes_in", "bytes_out", "parse_us_sum",
-        "dup_dropped",
+        "dup_dropped", "rows_in", "short_rows", "low_quality_rows",
     ):
         total[k] = sum(m.get(k, 0) for m in manifests)
     return total
@@ -111,6 +117,9 @@ def part_writer(out_dir: str, sums: dict[str, str]):
     rewrite the same file — idempotent), return tiny per-part stat rows:
     ``rows``, ``ok_rows``/``error_rows`` when the batch has a ``status``
     column, the sum of column ``sums[k]`` as ``k``, and ``text_checksum``.
+    A batch with an int8 ``drop`` column (0, or 1 + the row's index in
+    ``DROP_REASONS``) is written without its dropped rows, and each part's
+    stat row adds ``rows_in`` and the count of each reason.
 
     The per-row ``text_hash`` checksum is summed, so per-part checksums are
     order- and file-layout-independent: resumed or differently-batched runs
@@ -121,15 +130,46 @@ def part_writer(out_dir: str, sums: dict[str, str]):
         # part, which costs O(parts x rows))
         batch = batch.combine_chunks().sort_by("part")
         counted = "status" in batch.column_names
+        dropping = "drop" in batch.column_names
         stats: dict[str, list] = {"part": [], "rows": []}
         if counted:
             stats.update(ok_rows=[], error_rows=[])
+        if dropping:
+            stats.update({k: [] for k in ("rows_in", *DROP_REASONS)})
         stats.update({k: [] for k in sums})
         stats["text_checksum"] = []
         uniq, starts = np.unique(batch.column("part").to_numpy(), return_index=True)
         bounds = list(starts) + [len(batch)]
+        if dropping:
+            # per part: its rows by drop code (0 = kept), then one filter
+            drop = batch.column("drop").to_numpy()
+            codes = [
+                np.bincount(drop[a:b], minlength=len(DROP_REASONS) + 1).tolist()
+                for a, b in zip(bounds, bounds[1:])
+            ]
+            batch = batch.filter(drop == 0).drop_columns(["drop"])
+            bounds = np.cumsum([0] + [c[0] for c in codes]).tolist()
         for j, part in enumerate(uniq.tolist()):
             sub = batch.slice(bounds[j], bounds[j + 1] - bounds[j])
+            if dropping:
+                stats["rows_in"].append(sum(codes[j]))
+                for k, n in zip(DROP_REASONS, codes[j][1:]):
+                    stats[k].append(n)
+            stats["part"].append(part)
+            stats["rows"].append(len(sub))
+            for k, col in sums.items():
+                stats[k].append(pc.sum(sub.column(col)).as_py() or 0)
+            stats["text_checksum"].append(
+                (pc.sum(sub.column("text_hash")).as_py() or 0) % (2**63)
+            )
+            if counted:
+                ok = pc.sum(
+                    pc.cast(pc.equal(sub.column("status"), "ok"), pa.int64())
+                ).as_py() or 0
+                stats["ok_rows"].append(ok)
+                stats["error_rows"].append(len(sub) - ok)
+            if not len(sub):
+                continue
             # 64-bit content hash of the url list: deterministic per batch
             # (task retries rewrite the same file) with enough entropy that
             # two different writer tasks appending to the same part can't
@@ -150,19 +190,6 @@ def part_writer(out_dir: str, sums: dict[str, str]):
                 sub.drop_columns(["part"]), pdir / f".{name}.tmp", compression="zstd"
             )
             os.replace(pdir / f".{name}.tmp", pdir / name)
-            stats["part"].append(part)
-            stats["rows"].append(len(sub))
-            if counted:
-                ok = pc.sum(
-                    pc.cast(pc.equal(sub.column("status"), "ok"), pa.int64())
-                ).as_py() or 0
-                stats["ok_rows"].append(ok)
-                stats["error_rows"].append(len(sub) - ok)
-            for k, col in sums.items():
-                stats[k].append(pc.sum(sub.column(col)).as_py() or 0)
-            stats["text_checksum"].append(
-                (pc.sum(sub.column("text_hash")).as_py() or 0) % (2**63)
-            )
         return pa.table(
             {
                 k: pa.array(v, pa.int32() if k == "part" else pa.int64())

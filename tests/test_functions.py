@@ -111,6 +111,131 @@ def test_lang_guess_widened_latin_scripts():
         assert textstats.guess_lang(text) == lang, (lang, text)
 
 
+def _regex_token_stats(batch: pa.Table) -> pa.Table:
+    """The regex form of ``token_stats_batch``: the reference its byte-table
+    form must reproduce exactly."""
+    import pyarrow.compute as pc
+
+    text = batch.column("text")
+    trimmed = pc.utf8_trim_whitespace(text)
+    n_tokens = pc.list_value_length(pc.split_pattern_regex(trimmed, r"\s+"))
+    n_tokens = pc.if_else(
+        pc.equal(pc.utf8_length(trimmed), 0), pa.scalar(0, pa.int32()), n_tokens
+    )
+    return pa.table(
+        {
+            "doc_id": batch.column("doc_id"),
+            "n_chars": pc.cast(pc.utf8_length(text), pa.int64()),
+            "n_tokens": pc.cast(n_tokens, pa.int64()),
+            **{
+                k: pc.cast(pc.count_substring_regex(text, pattern), pa.int64())
+                for k, pattern in (
+                    ("n_punct", r"[.,!?;:]"),
+                    ("n_digit", r"[0-9]"),
+                    ("n_upper", r"[A-Z]"),
+                    ("n_alpha", r"[A-Za-z]"),
+                )
+            },
+        }
+    )
+
+
+def _loop_guess_lang(text: str) -> str:
+    """The per-character form of ``guess_lang``: the reference its
+    vectorized form must reproduce exactly."""
+    if not text:
+        return "und"
+    counts: dict[str, int] = {}
+    for ch in text[:2000]:
+        cp = ord(ch)
+        for lang, lo, hi in textstats._SCRIPT_RANGES:
+            if lo <= cp <= hi:
+                counts[lang] = counts.get(lang, 0) + 1
+                break
+    if counts:
+        best = max(counts, key=counts.get)
+        if counts[best] * 10 >= min(len(text), 2000):
+            return best
+    words = set(text[:2000].lower().split())
+    best_lang, best_hits = "en", 0
+    for lang, sw in textstats._STOPWORDS.items():
+        hits = len(words & sw)
+        if hits > best_hits:
+            best_lang, best_hits = lang, hits
+    return best_lang if best_hits else "en"
+
+
+def _differential_texts() -> list:
+    from fuzi_rd.sources.pages import pages_table
+    from fuzi_rd.stages.extractor import ExtractPages
+
+    odd_spaces = "  　\u0085\v\x1c\x1d\x1e\x1f"
+    texts = [
+        None, "", " ", "\t\n\f\r ", odd_spaces, "x", "Hello, World! 42",
+        *(f"{c}lead and trail{c}" for c in odd_spaces),
+        *(f"inner{c}space{c}{c}here" for c in odd_spaces),
+        f"mixed{odd_spaces}run \t of{odd_spaces} spaces",
+        "line one.\r\nline two!\r\n\r\nline three?\r\n",
+        "emoji 😀 and 𝔘𝔫𝔦𝔠𝔬𝔡𝔢 math 𝟘𝟙 plus 𠜎 CJK Ext-B, OK?",
+        "𠜎𠜱𠝹" * 50,
+        "Ελληνικά Русский Ελληνικά Русский",  # 8 + 7 letters: el wins
+        "Русский Ελληνικά Русский Ελληνικά",  # 7 + 8 letters: el wins
+        "абв αβγ",  # 3 + 3 letters: a tie, ru seen first
+        "αβγ абв",  # the same tie, el seen first
+        "日本 ひら カタ 한국",  # zh, ja, ko all at once
+        "a" * 2000 + "这是一段中文文本" * 100,  # the script after char 2000
+        "the cat " * 300 + "и" * 400,  # under a tenth of the head
+        "w " * 45 + "αβγабвאבגعر",  # a tenth in scripts, none alone
+        "w " * 40 + "абвгдежзийклмн",  # one script at 15%
+        "é" * 1999 + "ü",
+        "A.B,C!D?E;F:G 0123456789 [ZZZ] {aa} café ÀÉÎ",
+        *textstats._STOPWORDS["en"],
+    ]
+    for sw in textstats._STOPWORDS.values():
+        texts.append(" ".join(sorted(sw)))
+        texts.append(" ".join(sorted(sw)).upper() + " ¿qué? " + " ".join(sorted(sw)))
+    out = ExtractPages()(pages_table(300, start=11))
+    texts += out.column("extracted_text").to_pylist()
+    return texts
+
+
+def test_textstats_match_regex_and_loop_references():
+    """``token_stats_batch`` (byte tables over the Arrow buffers) equals the
+    regex form, and ``guess_lang`` (vectorized scripts) equals the
+    per-character form, on Unicode whitespace, CRLF, non-BMP text, script
+    ties in both orders, scripts past character 2000, every stopword
+    language and extracted fixture pages; as string and large_string,
+    sliced and in several chunks.  ``quality_batch`` and ``lang_id_batch``
+    run the same code, so they agree too."""
+    texts = _differential_texts()
+    assert len({_loop_guess_lang(t or "") for t in texts}) >= 20
+    for typ in (pa.string(), pa.large_string()):
+        col = pa.array(texts, typ)
+        for text in (
+            col,
+            col.slice(3, len(col) - 7),
+            pa.chunked_array([col.slice(0, 5), col.slice(5, 0), col.slice(5)]),
+            pa.array([], typ),
+            pa.array([None, None], typ),
+            pa.nulls(2, typ),
+        ):
+            n = len(text)
+            batch = pa.table({"doc_id": pa.array(range(n), pa.int64()), "text": text})
+            want = _regex_token_stats(batch)
+            got = textstats.token_stats_batch(batch)
+            assert got.schema == want.schema
+            for c in want.column_names:
+                assert got.column(c).to_pylist() == want.column(c).to_pylist(), c
+        sliced = col.slice(3, 40)
+        offsets, data = textstats._utf8_buffers(sliced)
+        assert [bytes(data[a:b]).decode() for a, b in zip(offsets, offsets[1:])] == [
+            t or "" for t in sliced.to_pylist()
+        ]
+    for t in texts:
+        assert textstats.guess_lang(t or "") == _loop_guess_lang(t or ""), t
+    assert textstats.guess_lang("\ud800 αβγ") == _loop_guess_lang("\ud800 αβγ")
+
+
 def test_paragraph_dedup_keep(ray_session):
     """First (doc_id, para_idx) occurrence of each distinct paragraph wins
     corpus-wide; survivors reassemble in order; fully-duplicated docs are
@@ -1884,3 +2009,28 @@ def test_broadcast_state_built_once_per_process_and_ref(ray_session, monkeypatch
         assert builds == ["fuzi", "fuzi"]
     finally:
         broadcast.resolve.cache_clear()
+
+
+def test_key_joins_with_empty_or_empty_first_key_blocks(ray_session):
+    """``anti_join`` / ``semi_join`` take a key side with no rows, or whose
+    first block is empty (Ray's join then finds no key column in the
+    partitions that get none of its rows); ``cross_corpus_dedup_keep``
+    against an empty reference corpus keeps every document."""
+    import ray
+
+    ds = ray.data.from_arrow(_docs_table(["a", "b", "c"]))
+    no_keys = ray.data.from_arrow(pa.table({"doc_id": pa.array([], pa.int64())}))
+    assert len(dedup.anti_join(ds, no_keys, "doc_id").take_all()) == 3
+    assert dedup.semi_join(ds, no_keys, "doc_id").take_all() == []
+
+    late_keys = ray.data.from_arrow([
+        pa.table({"doc_id": pa.array([], pa.int64())}),
+        pa.table({"doc_id": pa.array([1], pa.int64())}),
+    ]).materialize()
+    kept = dedup.anti_join(ds, late_keys, "doc_id").take_all()
+    assert sorted(r["doc_id"] for r in kept) == [0, 2]
+    assert [r["doc_id"] for r in dedup.semi_join(ds, late_keys, "doc_id").take_all()] == [1]
+
+    empty_ref = ray.data.from_arrow(_docs_table([]))
+    kept = dedup.cross_corpus_dedup_keep(ds, empty_ref).take_all()
+    assert sorted((r["doc_id"], r["text"]) for r in kept) == [(0, "a"), (1, "b"), (2, "c")]

@@ -692,6 +692,84 @@ def test_corpus_job_drops_copies_and_links_clean_parts(ray_session, tmp_path):
     assert {r["url"] for r in corpus_dataset(ds, batch_size=16).take_all()} == want
 
 
+def test_corpus_checkpoint_counts_every_dropped_page(ray_session, pages_dir, tmp_path):
+    """Every checkpoint manifest accounts for each page that hashed into
+    its part: ``rows_in = rows + error_rows + short_rows +
+    low_quality_rows``, and the ``rows_in`` sum to the input pages."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from fuzi_rd.pipelines.corpus import run_corpus
+
+    # one page per drop reason on top of the fixture pages
+    extra = pa.table({
+        "url": [f"https://drops.test/{i}" for i in range(3)],
+        "html": [
+            b"",  # an error row
+            b"<html><body><p>too short</p></body></html>",
+            b"<html><body><p>" + b"$$$ ### %%% 123 456 789 000 !!! ... " * 4 + b"</p></body></html>",
+        ],
+    })
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    pq.write_table(pq.read_table(pages_dir, columns=["url", "html"]), pages / "a.parquet")
+    pq.write_table(extra, pages / "b.parquet")
+    out = str(tmp_path / "out")
+    run_corpus(str(pages), out, num_parts=NUM_PARTS, resume=False, batch_size=16)
+    ck = mf.read_manifests(f"{out}/_checkpoint")
+    assert len(ck) == NUM_PARTS
+    for m in ck:
+        assert m["rows_in"] == (
+            m["rows"] + m["error_rows"] + m["short_rows"] + m["low_quality_rows"]
+        ), m
+    assert sum(m["rows_in"] for m in ck) == N_ROWS + len(extra)
+    for reason in ("error_rows", "short_rows", "low_quality_rows"):
+        assert sum(m[reason] for m in ck) > 0, reason
+    roll = mf.rollup(f"{out}/_checkpoint")
+    assert roll["rows_in"] == N_ROWS + len(extra)
+    assert roll["rows"] == sum(m["rows"] for m in mf.read_manifests(out)) + roll["dup_dropped"]
+
+
+def test_corpus_job_resume_of_finished_output_reads_no_input(
+    ray_session, tmp_path, monkeypatch
+):
+    """A resume over a finished corpus job runs no Ray Data job in either
+    stage, although some parts receive no page, and leaves the output and
+    the manifests byte-identical."""
+    import hashlib
+    import pathlib
+
+    import ray
+
+    from fuzi_rd.pipelines.corpus import run_corpus
+    from fuzi_rd.stages.extractor import url_part
+
+    num_parts = 64
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    write_pages_parquet(str(pages), 40)
+    out = tmp_path / "out"
+    run_corpus(str(pages), str(out), num_parts=num_parts, resume=False, batch_size=16)
+    used = {url_part(row_for_seq(i)[0], num_parts) for i in range(40)}
+    assert len(used) < num_parts  # some parts get no page
+
+    def files(d: pathlib.Path) -> dict:
+        return {
+            str(p.relative_to(d)): hashlib.md5(p.read_bytes()).hexdigest()
+            for p in sorted(d.rglob("*"))
+            if p.is_file() and "_metrics" not in p.parts
+        }
+
+    before = files(out)
+
+    def no_input(*args, **kwargs):
+        raise AssertionError("a finished job read its input again")
+
+    monkeypatch.setattr(ray.data, "read_parquet", no_input)
+    run_corpus(str(pages), str(out), num_parts=num_parts, resume=True, batch_size=16)
+    assert files(out) == before
+
+
 def test_curation_stage(ray_session):
     """curate_dataset: signal gates drop degenerate docs, the blocklist
     drops its domains, and the per-stratum quota keeps small strata whole."""
