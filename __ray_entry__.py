@@ -1021,25 +1021,24 @@ def _q_referential_qa(sf_dir: str):
     plans = []
     for name, child, fk, parent, pk in checks:
         c = _read(sf_dir, child, columns=[fk])
+        # the parent key side stays a plain read, so the join's key type
+        # comes from its parquet schema without running either side
         p = _read(sf_dir, parent, columns=[pk])
         # join partitions sized to the child table's parquet row-count
         # metadata (free), not the CPU count — the nation-keyed checks
         # would otherwise pay a 32-partition shuffle for 15k rows
         parts = max(1, min(32, c.count() // 65536 + 1))
 
-        def _rn(b: pa.Table, fk=fk) -> pa.Table:
-            return pa.table({"k": b.column(fk)})
-
-        def _rp(b: pa.Table, pk=pk) -> pa.Table:
-            return pa.table({"k": b.column(pk)})
+        def _rn(b: pa.Table, fk=fk, pk=pk) -> pa.Table:
+            return pa.table({pk: b.column(fk)})
 
         plans.append(
             (
                 name,
                 anti_join(
                     c.map_batches(_rn, batch_format="pyarrow"),
-                    p.map_batches(_rp, batch_format="pyarrow"),
-                    "k",
+                    p,
+                    pk,
                     num_partitions=parts,
                 ),
             )

@@ -139,17 +139,22 @@ def hash_join(left, right, join_type: str, num_partitions: int, on: tuple):
 
 
 def _null_key_first(ds, keys_ds, key: str):
-    """``keys_ds`` behind one row whose ``key`` is null, typed like
-    ``ds``'s key (the type comes from ``ds``'s schema, which may run
-    ``ds`` up to its first block).  Ray's join sends the key side's schema
-    to every partition only from the first block it sees, so a key side
-    with no rows, or whose first block is empty, leaves partitions without
-    the key column.  The null row is that first block, and a null key
-    matches nothing, so an inner or anti join's result is unchanged."""
+    """``keys_ds`` behind one row whose ``key`` is null, typed like the
+    join key.  Ray's join sends the key side's schema to every partition
+    only from the first block it sees, so a key side with no rows, or
+    whose first block is empty, leaves partitions without the key column.
+    The null row is that first block, and a null key matches nothing, so
+    an inner or anti join's result is unchanged.
+
+    The type comes from a schema Ray knows without running anything (a
+    read or materialized side); only when neither side has one is ``ds``
+    run up to its first non-empty block."""
     import ray
 
-    schema = ds.schema()
-    if schema is None:
+    schema = keys_ds.schema(fetch_if_missing=False)
+    if schema is None or key not in schema.names:
+        schema = ds.schema()  # runs nothing when Ray can infer it
+    if schema is None or key not in schema.names:
         return keys_ds
     null = pa.nulls(1, dict(zip(schema.names, schema.types))[key])
     return ray.data.from_arrow(pa.table({key: null})).union(keys_ds)

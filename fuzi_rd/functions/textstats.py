@@ -62,11 +62,13 @@ def _utf8_buffers(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_sums(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-row sums of a uint8 byte mask, one segmented sum per batch."""
-    if not len(mask):
-        return np.zeros(len(offsets) - 1, np.int64)
-    # reduceat returns an empty row's next byte (and needs in-range starts)
-    out = np.add.reduceat(mask, np.minimum(offsets[:-1], len(mask) - 1), dtype=np.int64)
-    out[offsets[1:] == offsets[:-1]] = 0
+    out = np.zeros(len(offsets) - 1, np.int64)
+    # only the non-empty rows: their starts are in range and strictly
+    # increasing, so each segment ends where the next non-empty row starts
+    # (an empty row's start may equal len(mask), which reduceat rejects)
+    nz = offsets[1:] > offsets[:-1]
+    if nz.any():
+        out[nz] = np.add.reduceat(mask, offsets[:-1][nz], dtype=np.int64)
     return out
 
 

@@ -249,13 +249,8 @@ def run_corpus(
         )
         # a part no page hashes into is committed empty, so a finished
         # checkpoint has every manifest and its resume reads no input
-        zeros = pa.array(np.zeros(len(todo), np.int64))
-        empty = pa.table({
-            "part": pa.array(todo, pa.int32()),
-            **dict.fromkeys(("rows", "rows_in", *mf.DROP_REASONS, *sums, "text_checksum"), zeros),
-        })
         return mf.write_parts(corpus, ckpt_dir, writer_batch, sums).union(
-            ray.data.from_arrow(empty)
+            ray.data.from_arrow(mf.zero_stats(todo, sums, dropping=True))
         )
 
     mf.run_parts(ckpt_dir, run_id, cleaned)
@@ -312,7 +307,7 @@ def _final_parts(batch: pa.Table, ckpt_dir: str, out_dir: str, sums: dict) -> pa
                 os.link(f, dst / f.name)
             with open(mf.manifest_dir(ckpt_dir) / f"part-{k}.json") as fh:
                 m = json.load(fh)
-            keys = ("part", "rows", *sums, "text_checksum")
+            keys = ("part", *mf.stat_keys(sums))
             stats.append({**{c: m[c] for c in keys}, "dup_dropped": 0})
             continue
         part = pq.read_table(src)
@@ -322,8 +317,6 @@ def _final_parts(batch: pa.Table, ckpt_dir: str, out_dir: str, sums: dict) -> pa
         kept = kept.append_column("part", pa.array([k] * len(kept), pa.int32()))
         written = mf.part_writer(out_dir, sums)(kept).to_pylist()
         # a part whose every row lost is committed empty
-        row = written[0] if written else {
-            "part": k, "rows": 0, **{c: 0 for c in sums}, "text_checksum": 0
-        }
+        row = written[0] if written else mf.zero_stats([k], sums).to_pylist()[0]
         stats.append({**row, "dup_dropped": len(part) - len(kept)})
     return pa.Table.from_pylist(stats)

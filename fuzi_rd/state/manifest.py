@@ -111,6 +111,29 @@ def clean_incomplete(out_dir: str, completed: set[int]) -> None:
             shutil.rmtree(d, ignore_errors=True)
 
 
+def stat_keys(sums: dict[str, str], counted: bool = False, dropping: bool = False) -> list[str]:
+    """The keys of a ``part_writer`` stat row after ``part``, in order, for
+    a batch with a ``status`` column (``counted``) or a ``drop`` column
+    (``dropping``)."""
+    return [
+        "rows",
+        *(("ok_rows", "error_rows") if counted else ()),
+        *(("rows_in", *DROP_REASONS) if dropping else ()),
+        *sums,
+        "text_checksum",
+    ]
+
+
+def zero_stats(parts: list[int], sums: dict[str, str], dropping: bool = False) -> pa.Table:
+    """``part_writer``'s stat rows for ``parts`` that get no row: every
+    count 0, so ``run_parts`` commits those parts empty."""
+    zeros = pa.array(np.zeros(len(parts), np.int64))
+    return pa.table({
+        "part": pa.array(parts, pa.int32()),
+        **dict.fromkeys(stat_keys(sums, dropping=dropping), zeros),
+    })
+
+
 def part_writer(out_dir: str, sums: dict[str, str]):
     """Writer task: split one batch by url-hash part, append one parquet
     file per (task, part) with a deterministic content-hash name (retries
@@ -131,13 +154,9 @@ def part_writer(out_dir: str, sums: dict[str, str]):
         batch = batch.combine_chunks().sort_by("part")
         counted = "status" in batch.column_names
         dropping = "drop" in batch.column_names
-        stats: dict[str, list] = {"part": [], "rows": []}
-        if counted:
-            stats.update(ok_rows=[], error_rows=[])
-        if dropping:
-            stats.update({k: [] for k in ("rows_in", *DROP_REASONS)})
-        stats.update({k: [] for k in sums})
-        stats["text_checksum"] = []
+        stats: dict[str, list] = {
+            k: [] for k in ("part", *stat_keys(sums, counted, dropping))
+        }
         uniq, starts = np.unique(batch.column("part").to_numpy(), return_index=True)
         bounds = list(starts) + [len(batch)]
         if dropping:

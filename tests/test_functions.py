@@ -207,8 +207,18 @@ def test_textstats_match_regex_and_loop_references():
     language and extracted fixture pages; as string and large_string,
     sliced and in several chunks.  ``quality_batch`` and ``lang_id_batch``
     run the same code, so they agree too."""
+    from fuzi_rd.sources.pages import pages_table
+    from fuzi_rd.stages.extractor import ExtractPages
+
     texts = _differential_texts()
     assert len({_loop_guess_lang(t or "") for t in texts}) >= 20
+    # extracted pages whose last row is an error, as the corpus cleaning sees
+    # them: an error row's extracted_text is ""
+    pages = pages_table(4, start=11).select(["url", "html"])
+    pages = pages.set_column(1, "html", pa.array([*pages["html"].to_pylist()[:3], b""]))
+    extracted = ExtractPages()(pages)
+    assert extracted.column("status").to_pylist()[-1] == "error"
+    error_tail = extracted.column("extracted_text").combine_chunks()
     for typ in (pa.string(), pa.large_string()):
         col = pa.array(texts, typ)
         for text in (
@@ -218,6 +228,11 @@ def test_textstats_match_regex_and_loop_references():
             pa.array([], typ),
             pa.array([None, None], typ),
             pa.nulls(2, typ),
+            # a batch that ends in empty or null rows
+            pa.array(["ab.", ""], typ),
+            pa.array(["Ab1.", None], typ),
+            pa.array(["x", "Ab1. cd", "", None, ""], typ),
+            error_tail.cast(typ),
         ):
             n = len(text)
             batch = pa.table({"doc_id": pa.array(range(n), pa.int64()), "text": text})
@@ -2011,25 +2026,46 @@ def test_broadcast_state_built_once_per_process_and_ref(ray_session, monkeypatch
         broadcast.resolve.cache_clear()
 
 
-def test_key_joins_with_empty_or_empty_first_key_blocks(ray_session):
+def test_key_joins_with_empty_or_empty_first_key_blocks(ray_session, tmp_path):
     """``anti_join`` / ``semi_join`` take a key side with no rows, or whose
     first block is empty (Ray's join then finds no key column in the
     partitions that get none of its rows); ``cross_corpus_dedup_keep``
-    against an empty reference corpus keeps every document."""
+    against an empty reference corpus keeps every document.  With a key
+    side whose schema Ray knows (a read or a materialized Dataset),
+    building the join runs neither side."""
+    import pyarrow.parquet as pq
     import ray
 
-    ds = ray.data.from_arrow(_docs_table(["a", "b", "c"]))
-    no_keys = ray.data.from_arrow(pa.table({"doc_id": pa.array([], pa.int64())}))
-    assert len(dedup.anti_join(ds, no_keys, "doc_id").take_all()) == 3
-    assert dedup.semi_join(ds, no_keys, "doc_id").take_all() == []
+    marker = tmp_path / "ran"
 
+    def touch(batch: pa.Table) -> pa.Table:
+        marker.touch()
+        return batch
+
+    ds = ray.data.from_arrow(_docs_table(["a", "b", "c"])).map_batches(
+        touch, batch_format="pyarrow"
+    )
+    no_keys = ray.data.from_arrow(pa.table({"doc_id": pa.array([], pa.int64())}))
     late_keys = ray.data.from_arrow([
         pa.table({"doc_id": pa.array([], pa.int64())}),
         pa.table({"doc_id": pa.array([1], pa.int64())}),
     ]).materialize()
-    kept = dedup.anti_join(ds, late_keys, "doc_id").take_all()
-    assert sorted(r["doc_id"] for r in kept) == [0, 2]
-    assert [r["doc_id"] for r in dedup.semi_join(ds, late_keys, "doc_id").take_all()] == [1]
+    pq.write_table(pa.table({"doc_id": pa.array([1], pa.int64())}), tmp_path / "k.parquet")
+    read_keys = ray.data.read_parquet(str(tmp_path / "k.parquet"))
+    joins = [
+        (dedup.anti_join(ds, late_keys, "doc_id"), [0, 2]),
+        (dedup.semi_join(ds, late_keys, "doc_id"), [1]),
+        (dedup.anti_join(ds, read_keys, "doc_id"), [0, 2]),
+        (dedup.semi_join(ds, read_keys, "doc_id"), [1]),
+    ]
+    assert not marker.exists()
+    # Ray keeps no schema for a side of empty blocks, so the left side runs
+    joins += [
+        (dedup.anti_join(ds, no_keys, "doc_id"), [0, 1, 2]),
+        (dedup.semi_join(ds, no_keys, "doc_id"), []),
+    ]
+    for joined, want in joins:
+        assert sorted(r["doc_id"] for r in joined.take_all()) == want
 
     empty_ref = ray.data.from_arrow(_docs_table([]))
     kept = dedup.cross_corpus_dedup_keep(ds, empty_ref).take_all()
