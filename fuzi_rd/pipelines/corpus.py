@@ -43,6 +43,7 @@ import pyarrow.parquet as pq
 from fuzi_rd.functions.textstats import guess_lang, quality_batch
 from fuzi_rd.pipelines.extraction import extract_dataset
 from fuzi_rd.stages.extractor import DEFAULT_NUM_PARTS
+from fuzi_rd.stages.metadata import FUSED_META_FIELDS
 from fuzi_rd.state import manifest as mf
 
 
@@ -97,20 +98,13 @@ def corpus_dataset(
     return anti_join(corpus, dedup_losers(corpus).select_columns(["url"]), "url")
 
 
-_META_COLS = (
-    "meta_title", "meta_description", "canonical_url", "meta_lang",
-    "robots_noindex", "robots_nofollow",
-    "og_title", "og_description", "og_image", "og_type",
-)
-
-
 def _tagged_corpus(pages_ds, min_text_len: int, **extract):
     """Every extracted page, cleaned and annotated by ``_clean_and_annotate``
     (lazy); ``extract`` holds ``extract_dataset``'s keyword arguments."""
     extra_cols = (
         (["markdown"] if extract.get("emit_markdown") else [])
         + (["links"] if extract.get("emit_links") else [])
-        + (list(_META_COLS) if extract.get("emit_metadata") else [])
+        + ([f.name for f in FUSED_META_FIELDS] if extract.get("emit_metadata") else [])
     )
     return extract_dataset(pages_ds, **extract).map_batches(
         _clean_and_annotate,

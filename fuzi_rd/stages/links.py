@@ -4,21 +4,21 @@ The webgraph is the other first-class product of a crawl besides the text:
 outlinks drive crawl frontier ranking, spam/SEO-farm detection, and
 PageRank-style quality priors for corpus curation.
 
-``extract_links_dataset`` runs ``extract_links`` as Ray Data tasks (same
-shape as the extraction stage, reference precedent
-Sources/Actor.swift:278-405 — parser state private to one worker, value
-rows across the boundary): parse each page (``chtml.parse_page``: C
-kernel with Python fallback), flat-scan the arena for anchor elements,
-resolve hrefs against the page url (honoring ``<base href>``), and emit
-ROW-EXPANDING (src_url, dst_url, anchor, nofollow) rows — a streaming
-flat_map inside map_batches, no shuffle.
+``_page_links`` flat-scans the arena for anchor elements and resolves
+their hrefs against the page url (honoring ``<base href>``).  It is the
+``LINKS`` product of the shared page loop (``stages/products.py``), which
+parses each page once with ``chtml.parse_page`` and catches a failing
+page (it has no edges); ``extract_links`` explodes the ``links`` column
+into ROW-EXPANDING (src_url, dst_url, anchor, nofollow) rows with the
+same Arrow flatten as :func:`links_from_extracted`.
+``extract_links_dataset`` runs it as Ray Data tasks, no shuffle.
 
 ``link_graph`` rolls the edge list up to registered-domain granularity:
 vectorized host/domain extraction, then one groupby on (src_domain,
 dst_domain) — the only exchange, carrying fixed-width-ish domain pairs,
 never page HTML.
 
-Scale notes (100 TB): ``max_links_per_page`` caps row expansion (link
+Scale notes (100 TB): ``DEFAULT_MAX_LINKS`` caps row expansion (link
 farms publish 10k+ anchors per page; the cap bounds both batch memory and
 the groupby's skew).  Per-page work is one parse (shared with extraction
 when composed) + one O(nodes) scan.
@@ -30,8 +30,8 @@ from urllib.parse import urljoin, urlsplit
 
 import pyarrow as pa
 
-from fuzi_rd.chtml import parse_page
 from fuzi_rd.dom import ELEMENT
+from fuzi_rd.stages.products import Product, explode, run_products
 
 DEFAULT_MAX_LINKS = 1000
 _KEEP_SCHEMES = ("http", "https")
@@ -82,78 +82,43 @@ def _page_links(arena, base_url: str, max_links: int) -> list[tuple[str, str, bo
     return out
 
 
-def extract_links(
-    batch: pa.Table, max_links_per_page: int = DEFAULT_MAX_LINKS
-) -> pa.Table:
+# a page's resolved outlinks, capped at DEFAULT_MAX_LINKS
+_EDGE = pa.struct(
+    [("dst_url", pa.string()), ("anchor", pa.large_string()), ("nofollow", pa.bool_())]
+)
+LINKS = Product(
+    (pa.field("links", pa.list_(_EDGE)),),
+    lambda arena, url: (_page_links(arena, url, DEFAULT_MAX_LINKS),),
+    ((),),
+)
+
+
+def extract_links(batch: pa.Table) -> pa.Table:
     """Task UDF over (url, html) pages.  Emits one row per kept anchor:
-    (src_url, dst_url, anchor, nofollow); a page that fails to parse has
-    no edges (poison-pill tolerance for a row-expanding stage)."""
-    src, dst, anchor, nofollow = [], [], [], []
-    for url, raw in zip(
-        batch.column("url").to_pylist(), batch.column("html").to_pylist()
-    ):
-        try:
-            links = _page_links(parse_page(raw or b""), url, max_links_per_page)
-        except Exception:
-            continue
-        for d, a, nf in links:
-            src.append(url)
-            dst.append(d)
-            anchor.append(a)
-            nofollow.append(nf)
-    return pa.table(
-        {
-            "src_url": pa.array(src, pa.string()),
-            "dst_url": pa.array(dst, pa.string()),
-            "anchor": pa.array(anchor, pa.large_string()),
-            "nofollow": pa.array(nofollow, pa.bool_()),
-        }
-    )
+    (src_url, dst_url, anchor, nofollow); a page that fails has no edges
+    (poison-pill tolerance for a row-expanding stage)."""
+    got = run_products(batch, [LINKS])
+    return explode(got["url"], got["links"], "src_url")
 
 
-def extract_links_dataset(
-    pages_ds,
-    max_links_per_page: int = DEFAULT_MAX_LINKS,
-    batch_size: int = 256,
-):
+def extract_links_dataset(pages_ds, batch_size: int = 256):
     """Wire :func:`extract_links` onto a (url, html) Dataset as Ray Data
     tasks (lazy)."""
     return pages_ds.map_batches(
-        extract_links,
-        fn_kwargs={"max_links_per_page": max_links_per_page},
-        batch_format="pyarrow",
-        batch_size=batch_size,
+        extract_links, batch_format="pyarrow", batch_size=batch_size
     )
 
 
 def links_from_extracted(extracted_ds):
     """Flatten the fused ``links`` column emitted by
     ``ExtractPages(emit_links=True)`` into the standalone edge-list schema
-    (src_url, dst_url, anchor, nofollow) — row-identical to
-    :func:`extract_links_dataset` over the same pages (pinned by test),
-    but WITHOUT a second HTML parse: the edges were produced inside the
-    one parse the extraction/corpus job already pays for.
-
-    Pure Arrow kernels (list_parent_indices gather + struct flatten), no
-    Python loop, no exchange; feed the result to :func:`link_graph` /
-    ``domain_components`` / ``pagerank`` exactly like the standalone
-    extractor's output."""
-    import pyarrow.compute as pc
+    (src_url, dst_url, anchor, nofollow) with :func:`extract_links`' own
+    Arrow flatten — row-identical to :func:`extract_links_dataset` over
+    the same pages (pinned by test), but WITHOUT a second HTML parse.  Feed
+    it to :func:`link_graph` / ``domain_components`` / ``pagerank``."""
 
     def _flat(batch: pa.Table) -> pa.Table:
-        col = batch.column("links")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        src = pc.take(batch.column("url"), pc.list_parent_indices(col))
-        flat = col.flatten()
-        return pa.table(
-            {
-                "src_url": pc.cast(src, pa.string()),
-                "dst_url": flat.field("dst_url"),
-                "anchor": flat.field("anchor"),
-                "nofollow": flat.field("nofollow"),
-            }
-        )
+        return explode(batch.column("url"), batch.column("links"), "src_url")
 
     return extracted_ds.map_batches(_flat, batch_format="pyarrow")
 

@@ -8,9 +8,10 @@ models see document structure instead of a flattened blob.
 ``render_markdown`` is a deterministic, recursion-free renderer over the
 arena DOM (same arena the extractor and XPath engine use; reference
 text-content precedent Sources/Node.swift:126-131 — this stage is the
-structured sibling of ``stringValue``).  ``markdown_dataset`` runs it as
-Ray Data tasks (``convert_markdown``) with the poison-pill contract every
-other stage uses (per-row status, never raise).
+structured sibling of ``stringValue``).  It is the ``MARKDOWN`` product of
+the shared page loop (``stages/products.py``), which parses, catches a
+failing page and builds the columns; ``markdown_dataset`` runs that loop
+as Ray Data tasks (``convert_markdown``).
 
 Scale notes (100 TB): one parse + one O(nodes) walk per page, output one
 row per page, no row expansion, no shuffle.  The renderer uses an explicit
@@ -24,9 +25,10 @@ import re
 from urllib.parse import urljoin
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from fuzi_rd.chtml import parse_page
 from fuzi_rd.dom import COMMENT, ELEMENT, PI, TEXT
+from fuzi_rd.stages.products import Product, run_products
 
 _WS = re.compile(r"\s+")
 
@@ -40,15 +42,6 @@ _BLOCK = frozenset(
     "ul ol table blockquote pre h1 h2 h3 h4 h5 h6 hr dl dd dt".split()
 )
 _HEADING = {"h1": 1, "h2": 2, "h3": 3, "h4": 4, "h5": 5, "h6": 6}
-
-_SCHEMA = pa.schema(
-    [
-        ("url", pa.string()),
-        ("markdown", pa.large_string()),
-        ("n_chars", pa.int64()),
-        ("status", pa.string()),
-    ]
-)
 
 
 def render_markdown(arena, base_url: str = "") -> str:
@@ -248,28 +241,25 @@ def render_markdown(arena, base_url: str = "") -> str:
     return md.strip()
 
 
+# a page's markdown; it reads the arena before the boilerplate kill
+MARKDOWN = Product(
+    (pa.field("markdown", pa.large_string()),),
+    lambda arena, url: (render_markdown(arena, base_url=url or ""),),
+    ("",),
+)
+
+
 def convert_markdown(batch: pa.Table) -> pa.Table:
-    """Task UDF over (url, html) pages: one markdown row per page.  A parse
-    or render failure yields status='error' with empty text (poison-pill
-    contract shared with ExtractPages)."""
-    urls = batch.column("url").to_pylist()
-    htmls = batch.column("html").to_pylist()
-    mds, lens, statuses = [], [], []
-    for url, raw in zip(urls, htmls):
-        try:
-            md = render_markdown(parse_page(raw or b""), base_url=url or "")
-            status = "ok"
-        except Exception:
-            md, status = "", "error"
-        mds.append(md)
-        lens.append(len(md))
-        statuses.append(status)
+    """Task UDF over (url, html) pages: one markdown row per page; a page
+    that fails is a status='error' row with empty markdown."""
+    got = run_products(batch, [MARKDOWN])
+    md = got["markdown"]
     return pa.table(
         {
-            "url": pa.array(urls, pa.string()),
-            "markdown": pa.array(mds, pa.large_string()),
-            "n_chars": pa.array(lens, pa.int64()),
-            "status": pa.array(statuses, pa.string()),
+            "url": got["url"],
+            "markdown": md,
+            "n_chars": pc.utf8_length(md),
+            "status": got["status"],
         }
     )
 

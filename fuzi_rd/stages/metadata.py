@@ -8,16 +8,14 @@ without content comparison), robots meta gates what may enter a corpus,
 and og:/description fields are the page's self-description for search and
 curation UIs.
 
-``extract_metadata_dataset`` runs ``extract_metadata`` as Ray Data tasks,
-the same shape as the extraction and links stages (reference precedent
-Sources/Actor.swift:278-405 — parser state private to one worker, value
-rows across the boundary): one parse per page (``chtml.parse_page``: C
-kernel with per-document Python fallback), then a single O(nodes) arena
-scan that stops at the end of ``<head>`` content for the common case
-(title/meta/link/og all live there; the scan continues past head only
-until every field is filled or the element budget runs out).  Output is
-one fixed-width-ish row per page — no row expansion, no shuffle anywhere
-in the stage.
+The ten metadata columns are declared once, in ``META_FIELDS``.
+``_page_metadata`` fills them from one arena scan capped by an element
+budget (title/meta/link/og all live in ``<head>``).  It is the
+``METADATA`` product of the shared page loop (``stages/products.py``),
+which parses each page once with ``chtml.parse_page``, catches a failing
+page and builds the columns; ``extract_metadata_dataset`` runs that loop
+as Ray Data tasks.  Output is one fixed-width-ish row per page — no row
+expansion, no shuffle anywhere in the stage.
 
 Scale notes (100 TB): per-page cost is the parse (shared when composed
 with extraction) + a bounded scan; all output columns are capped-length
@@ -30,9 +28,9 @@ from urllib.parse import urljoin
 
 import pyarrow as pa
 
-from fuzi_rd.chtml import parse_page
 from fuzi_rd.dom import ELEMENT
 from fuzi_rd.functions.dedup import hash_join
+from fuzi_rd.stages.products import Product, run_products
 
 _CAP = 500  # per-field character cap: metadata, not content
 _SCAN_BUDGET = 4000  # max elements examined per page
@@ -40,48 +38,42 @@ _SCAN_BUDGET = 4000  # max elements examined per page
 # og: properties surfaced as dedicated columns (the high-traffic subset)
 _OG_FIELDS = ("og:title", "og:description", "og:image", "og:type")
 
-# a page's fields before its scan, and an error row's fields
-_NO_METADATA = {
-    "title": None,
-    "meta_description": None,
-    "canonical_url": None,
-    "lang": None,
-    "robots_noindex": False,
-    "robots_nofollow": False,
-    "og:title": None,
-    "og:description": None,
-    "og:image": None,
-    "og:type": None,
-}
-
-_SCHEMA = pa.schema(
-    [
-        ("url", pa.string()),
-        ("title", pa.string()),
-        ("meta_description", pa.string()),
-        ("canonical_url", pa.string()),
-        ("lang", pa.string()),
-        ("robots_noindex", pa.bool_()),
-        ("robots_nofollow", pa.bool_()),
-        ("og_title", pa.string()),
-        ("og_description", pa.string()),
-        ("og_image", pa.string()),
-        ("og_type", pa.string()),
-        ("status", pa.string()),
-    ]
+# The ten head-metadata columns, declared once: ``extract_metadata``
+# emits them under these names, ``ExtractPages(emit_metadata=True)`` as
+# ``FUSED_META_FIELDS``, where a one-word name takes a ``meta_`` prefix
+# (``meta_title``, ``meta_lang``) beside the page's own ``title``.
+META_FIELDS = (
+    pa.field("title", pa.string()),
+    pa.field("meta_description", pa.string()),
+    pa.field("canonical_url", pa.string()),
+    pa.field("lang", pa.string()),
+    pa.field("robots_noindex", pa.bool_()),
+    pa.field("robots_nofollow", pa.bool_()),
+    pa.field("og_title", pa.string()),
+    pa.field("og_description", pa.string()),
+    pa.field("og_image", pa.string()),
+    pa.field("og_type", pa.string()),
+)
+FUSED_META_FIELDS = tuple(
+    f if "_" in f.name else f.with_name("meta_" + f.name) for f in META_FIELDS
 )
 
+# a page's values before its scan, and an error row's values
+_NO_METADATA = tuple(False if f.type == pa.bool_() else None for f in META_FIELDS)
+_META_NAMES = tuple(f.name for f in META_FIELDS)
 
-def _page_metadata(arena, url: str) -> dict:
-    """One O(min(nodes, budget)) scan; first occurrence of each field wins
-    (HTML processing-model order: the browser honors the first title and
-    the first canonical)."""
+
+def _page_metadata(arena, url: str) -> tuple:
+    """The page's ``META_FIELDS`` values, in order, from one
+    O(min(nodes, budget)) scan; first occurrence of each field wins (HTML
+    processing-model order: the browser honors the first title and the
+    first canonical)."""
     names = arena.names
     types = arena.types
     attrs = arena.attrs
     dead = arena.dead
 
-    out = dict(_NO_METADATA)
+    out = dict(zip(_META_NAMES, _NO_METADATA))
     budget = min(len(types), _SCAN_BUDGET + 1)
     for nid in range(1, budget):
         if dead[nid] or types[nid] != ELEMENT:
@@ -107,8 +99,8 @@ def _page_metadata(arena, url: str) -> dict:
                 }
                 out["robots_noindex"] |= "noindex" in directives or "none" in directives
                 out["robots_nofollow"] |= "nofollow" in directives or "none" in directives
-            elif key in _OG_FIELDS and out[key] is None:
-                out[key] = content.strip()[:_CAP]
+            elif key in _OG_FIELDS and out[key.replace(":", "_")] is None:
+                out[key.replace(":", "_")] = content.strip()[:_CAP]
         elif name == "link" and out["canonical_url"] is None and a:
             rels = (a.get("rel") or "").lower().split()
             href = a.get("href")
@@ -117,36 +109,20 @@ def _page_metadata(arena, url: str) -> dict:
                     out["canonical_url"] = urljoin(url, href.strip())[:_CAP]
                 except ValueError:
                     pass
-    return out
+    return tuple(out.values())
+
+
+# _page_metadata is looked up per call, so a test can substitute it
+METADATA = Product(
+    META_FIELDS, lambda arena, url: _page_metadata(arena, url), _NO_METADATA
+)
 
 
 def extract_metadata(batch: pa.Table) -> pa.Table:
-    """Task UDF over (url, html) pages.  Emits exactly one row per page
-    (status='error' rows have null fields — same poison-pill contract as
-    ExtractPages)."""
-    urls = batch.column("url").to_pylist()
-    htmls = batch.column("html").to_pylist()
-    cols: dict[str, list] = {f.name: [] for f in _SCHEMA}
-    for url, raw in zip(urls, htmls):
-        try:
-            m = _page_metadata(parse_page(raw or b""), url)
-            status = "ok"
-        except Exception:
-            m = _NO_METADATA
-            status = "error"
-        cols["url"].append(url)
-        cols["title"].append(m["title"])
-        cols["meta_description"].append(m["meta_description"])
-        cols["canonical_url"].append(m["canonical_url"])
-        cols["lang"].append(m["lang"])
-        cols["robots_noindex"].append(m["robots_noindex"])
-        cols["robots_nofollow"].append(m["robots_nofollow"])
-        cols["og_title"].append(m["og:title"])
-        cols["og_description"].append(m["og:description"])
-        cols["og_image"].append(m["og:image"])
-        cols["og_type"].append(m["og:type"])
-        cols["status"].append(status)
-    return pa.table({f.name: pa.array(cols[f.name], f.type) for f in _SCHEMA})
+    """Task UDF over (url, html) pages.  Emits exactly one row per page; a
+    page that fails is a status='error' row with null fields."""
+    got = run_products(batch, [METADATA])
+    return pa.table({name: got[name] for name in ("url", *_META_NAMES, "status")})
 
 
 class ExtractMetadata:

@@ -7,12 +7,12 @@ infoboxes/specs/financial tables, QA-pair generators) want cells with
 their (table, row, column) coordinates — not a text blob where the
 extractor's whitespace collapse destroyed the grid.
 
-``extract_tables_dataset`` runs ``extract_tables`` as Ray Data tasks, the
-same shape as the extraction, links and metadata stages (reference
-precedent Sources/Actor.swift:278-405 — parser state private to one
-worker, value rows across the boundary): one parse per page
-(``chtml.parse_page``: C kernel with per-document Python fallback), then
-one O(nodes) preorder scan using the arena's ``subtree_end`` ranges.
+``_page_tables`` is one O(nodes) preorder scan using the arena's
+``subtree_end`` ranges, and the ``TABLES`` product of the shared page
+loop (``stages/products.py``), which parses each page once with
+``chtml.parse_page`` and catches a failing page (it has no cells);
+``extract_tables`` explodes the ``cells`` column with the loop's Arrow
+flatten, and ``extract_tables_dataset`` runs it as Ray Data tasks.
 Output is row-expanding — one row per CELL — with hard caps on
 tables/page, rows/table, cells/row and chars/cell, so a pathological page
 (a million-row scraped grid) cannot blow up a block.
@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from fuzi_rd.chtml import parse_page
 from fuzi_rd.dom import ELEMENT
+from fuzi_rd.stages.products import Product, explode, run_products
 
 MAX_TABLES_PER_PAGE = 50
 MAX_ROWS_PER_TABLE = 1000
@@ -125,20 +125,26 @@ def _page_tables(arena, url: str, out: dict) -> None:
             i += 1
 
 
+# a page's table cells: one child per cell, every _SCHEMA column but url
+_CELL = pa.struct(list(_SCHEMA)[1:])
+
+
+def _cells(arena, url: str) -> tuple:
+    out = {f.name: [] for f in _SCHEMA}
+    _page_tables(arena, url, out)
+    return (list(zip(*(out[f.name] for f in _CELL))),)
+
+
+TABLES = Product((pa.field("cells", pa.list_(_CELL)),), _cells, ((),))
+
+
 def extract_tables(batch: pa.Table) -> pa.Table:
     """Task UDF over (url, html) pages.  Row-expanding: one row per table
-    cell; pages that fail to parse (or have no tables) contribute zero
-    rows — the poison-pill contract for row-expanding stages (same as
+    cell; pages that fail (or have no tables) contribute zero rows — the
+    poison-pill contract for row-expanding stages (same as
     ``extract_links``)."""
-    out: dict[str, list] = {f.name: [] for f in _SCHEMA}
-    for url, raw in zip(
-        batch.column("url").to_pylist(), batch.column("html").to_pylist()
-    ):
-        try:
-            _page_tables(parse_page(raw or b""), url, out)
-        except Exception:
-            continue
-    return pa.table({f.name: pa.array(out[f.name], f.type) for f in _SCHEMA})
+    got = run_products(batch, [TABLES])
+    return explode(got["url"], got["cells"], "url")
 
 
 def extract_tables_dataset(pages_ds, batch_size: int = 256):

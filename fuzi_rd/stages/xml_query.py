@@ -21,9 +21,8 @@ import functools
 
 import pyarrow as pa
 
-from fuzi_rd.errors import FuziError
 from fuzi_rd.xml_parser import parse_xml_bytes
-from fuzi_rd.xpath import compile_xpath, evaluate, string_value
+from fuzi_rd.xpath import compile_xpath, recipe_value
 
 
 class QueryXml:
@@ -57,16 +56,7 @@ class QueryXml:
             try:
                 arena = parse_xml_bytes(raw or b"")
                 for name, ast in self.recipe.items():
-                    try:
-                        value = evaluate(ast, arena, arena.root, self.prefixes)
-                    except FuziError:
-                        continue  # query errors -> empty (reference Q2)
-                    if isinstance(value, list):
-                        cols[name][i] = "\n".join(
-                            string_value(arena, item) for item in value
-                        )
-                    else:
-                        cols[name][i] = str(value)
+                    cols[name][i] = recipe_value(ast, arena, self.prefixes)
             except Exception as exc:  # poison-pill tolerance
                 status[i] = "error"
                 error[i] = f"{type(exc).__name__}: {exc}"[:500]

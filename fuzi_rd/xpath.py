@@ -39,7 +39,7 @@ import math
 import re
 
 from fuzi_rd.dom import CDATA, COMMENT, ELEMENT, PI, TEXT, Arena
-from fuzi_rd.errors import QueryError
+from fuzi_rd.errors import FuziError, QueryError
 
 _NULL = -1
 
@@ -982,3 +982,16 @@ def evaluate(ast, arena: Arena, context_id: int, user_prefixes: dict | None = No
     Returns a node-set (list of items), float, str, or bool."""
     env = build_ns_env(arena, context_id, user_prefixes or {})
     return _eval(ast, _Ctx(arena, env, context_id, 1, 1))
+
+
+def recipe_value(ast, arena: Arena, prefixes: dict) -> str:
+    """A named recipe query's column value over the whole document: a
+    node-set's string-values joined by newlines in document order, a scalar
+    stringified, "" when the query raises a ``FuziError`` (reference Q2)."""
+    try:
+        value = evaluate(ast, arena, arena.root, prefixes)
+    except FuziError:
+        return ""
+    if isinstance(value, list):
+        return "\n".join(string_value(arena, item) for item in value)
+    return str(value)

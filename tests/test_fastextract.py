@@ -156,13 +156,6 @@ def test_adversarial_identical():
     _assert_identical(empty, "adversarial[0 rows]")
 
 
-def test_no_spans_identical():
-    from fuzi_rd.sources.pages import pages_table
-
-    _assert_identical(pages_table(200, start=100), "nospans", emit_spans=False)
-    _assert_identical(_table(ADVERSARIAL), "nospans-adv", emit_spans=False)
-
-
 def test_fuzz_no_divergence():
     import random
 
@@ -312,15 +305,14 @@ def test_emit_links_adversarial_identical():
 
 
 def test_emit_links_cap_identical():
+    from fuzi_rd.stages.links import DEFAULT_MAX_LINKS
+
     many = b"".join(
-        b'<a href="/p%d">t%d</a>' % (i, i) for i in range(50)
+        b'<a href="/p%d">t%d</a>' % (i, i) for i in range(DEFAULT_MAX_LINKS + 10)
     )
-    _assert_identical(
-        _table([b"<div>" + many + b"</div>"]),
-        "links-cap",
-        emit_links=True,
-        max_links_per_page=7,
-    )
+    tbl = _table([b"<div>" + many + b"</div>"], urls=["http://cap.test/"])
+    _assert_identical(tbl, "links-cap", emit_links=True)
+    assert len(ExtractPages(emit_links=True)(tbl).column("links")[0]) == DEFAULT_MAX_LINKS
 
 
 def test_emit_links_fuzz_identical():
