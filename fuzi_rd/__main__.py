@@ -47,8 +47,10 @@ def main(argv=None) -> int:
         run_id=args.run_id,
     )
     print(json.dumps(roll))
-    total = roll["ok_rows"] + roll["error_rows"]
-    err_rate = roll["error_rows"] / total if total else 0.0
+    # a job over no rows commits no manifest, so its roll-up has no counters
+    errors = roll.get("error_rows", 0)
+    total = roll.get("ok_rows", 0) + errors
+    err_rate = errors / total if total else 0.0
     return 0 if err_rate <= args.max_error_rate else 1
 
 

@@ -18,11 +18,13 @@
  */
 
 #include <stdint.h>
+#include <stdio.h>
 #include <string.h>
 #include <stdlib.h>
 
 #define NT_ELEMENT 1
 #define NT_TEXT 3
+#define NT_CDATA 4
 #define NT_PI 7
 #define NT_COMMENT 8
 
@@ -108,7 +110,8 @@ static int in_autoclose_set(int tag, int t) {
     case T_TR: if (t == T_TR || t == T_TD || t == T_TH) return 1; break;
     case T_TD: case T_TH: if (t == T_TD || t == T_TH) return 1; break;
     case T_THEAD: case T_TBODY: case T_TFOOT:
-        if (t == T_THEAD || t == T_TBODY || t == T_TFOOT) return 1; break;
+        if (t == T_THEAD || t == T_TBODY || t == T_TFOOT) return 1;
+        break;
     case T_OPTION: if (t == T_OPTION) return 1; break;
     case T_OPTGROUP: if (t == T_OPTION || t == T_OPTGROUP) return 1; break;
     case T_A: if (t == T_A) return 1; break;
@@ -754,4 +757,426 @@ int32_t chtml_parse(
     counts[2] = o.n_attrs;
     counts[3] = o.root;
     return ERR_OK;
+}
+
+/* ---- batch extraction --------------------------------------------------
+ *
+ * chtml_extract_batch runs fuzi_rd/extract.py over every document of a
+ * batch whose chtml_parse outputs share one set of node and piece arrays
+ * (each parse was pointed at its own base offsets): the <head><title>
+ * string before the kill (_title_of), the kill list and its effective-dead
+ * cover, the live block candidates with the first-live-body fallback, the
+ * character counts (an <a> counts as one tag and all of its live text as
+ * link text), the integer TD/LD keep rule, and the "\n"-joined text with
+ * UTF-8 byte spans and name[rank] paths.  The caller maps tag names to the
+ * EC_* classes and passes the thresholds, and supplies the UTF-8 of every
+ * entity-escaped piece (Python's html.unescape decides those).
+ */
+
+#define EC_KILL 1
+#define EC_BLOCK 2
+#define EC_A 4
+#define EC_BODY 8
+#define EC_HEAD 16
+#define EC_TITLE 32
+
+/* node and piece array order of the pointer tables the caller passes */
+enum { N_TYPES, N_PARENTS, N_FC, N_LC, N_NS, N_PS, N_END, N_NAME0, N_NAME1 };
+enum { P_NODE, P_0, P_1, P_FLAGS };
+/* per-doc row of the doc table */
+enum { D_NODE_BASE, D_NN, D_PIECE_BASE, D_NPC, D_BUF_BASE, D_ROOT, D_STRIDE = 8 };
+
+#define NAME_SLOTS 256  /* class table: open addressing, power of two */
+
+typedef struct { uint64_t lo, hi; int32_t len, cls; } NameSlot;
+
+/* ASCII-lowered name packed into 16 bytes; 0 when it does not fit (no
+ * class name is that long) */
+static int pack_name(const uint8_t *s, int len, uint64_t *lo, uint64_t *hi) {
+    uint8_t b[16] = {0};
+    if (len > 16) return 0;
+    for (int k = 0; k < len; k++)
+        b[k] = (s[k] >= 'A' && s[k] <= 'Z') ? (uint8_t)(s[k] + 32) : s[k];
+    memcpy(lo, b, 8);
+    memcpy(hi, b + 8, 8);
+    return 1;
+}
+
+static uint32_t name_slot(uint64_t lo, uint64_t hi, int len) {
+    uint64_t h = (lo ^ (hi * 0x9e3779b97f4a7c15ULL) ^ (uint64_t)len) * 0xff51afd7ed558ccdULL;
+    return (uint32_t)(h >> 56) & (NAME_SLOTS - 1);
+}
+
+static int class_of(const NameSlot *tab, const uint8_t *s, int len) {
+    uint64_t lo, hi;
+    if (!pack_name(s, len, &lo, &hi)) return 0;
+    for (uint32_t h = name_slot(lo, hi, len); tab[h].len; h = (h + 1) & (NAME_SLOTS - 1))
+        if (tab[h].len == len && tab[h].lo == lo && tab[h].hi == hi) return tab[h].cls;
+    return 0;
+}
+
+/* space-separated names, one class byte each */
+static int build_classes(NameSlot *tab, const uint8_t *names, int32_t n, const uint8_t *cls) {
+    int count = 0;
+    memset(tab, 0, NAME_SLOTS * sizeof(NameSlot));
+    for (int i = 0; i < n; count++) {
+        int j = i;
+        uint64_t lo, hi;
+        while (j < n && names[j] != ' ') j++;
+        if (j == i || count >= NAME_SLOTS / 2 || !pack_name(names + i, j - i, &lo, &hi))
+            return -1;
+        uint32_t h = name_slot(lo, hi, j - i);
+        while (tab[h].len && !(tab[h].len == j - i && tab[h].lo == lo && tab[h].hi == hi))
+            h = (h + 1) & (NAME_SLOTS - 1);
+        tab[h].lo = lo;
+        tab[h].hi = hi;
+        tab[h].len = j - i;
+        tab[h].cls |= cls[count];
+        i = j + 1;
+    }
+    return 0;
+}
+
+/* characters of valid UTF-8: bytes minus continuation bytes (10xxxxxx),
+ * counted eight at a time */
+static int64_t utf8_chars(const uint8_t *s, int64_t n) {
+    int64_t c = n, i = 0;
+    for (; i + 8 <= n; i += 8) {
+        uint64_t w;
+        memcpy(&w, s + i, 8);
+        w = (w & ~(w << 1) & 0x8080808080808080ULL) >> 7;
+        c -= (int64_t)((w * 0x0101010101010101ULL) >> 56);
+    }
+    for (; i < n; i++) c -= (s[i] & 0xc0) == 0x80;
+    return c;
+}
+
+typedef struct {
+    /* the current document: arrays offset to its bases */
+    const uint8_t *buf;
+    const int32_t *types, *parents, *fc, *ns, *ps, *end, *name0, *name1;
+    const int32_t *pn, *p0, *p1, *pf;
+    int32_t nn, npc, pk;          /* pk: piece cursor of the candidate walk */
+    int64_t piece_base;
+    uint8_t *cls, *dead;
+    int32_t *rank, *anc;
+    /* batch-wide */
+    const NameSlot *names;
+    int64_t n_ent;
+    const int64_t *ent_piece, *ent_off;
+    const uint8_t *ent_buf;
+    int64_t td_num, td_den, ld_num, ld_den;
+    int bad;
+    uint8_t *text;
+    int64_t text_cap, text_len, text_start, doc_chars, doc_spans;
+    int64_t *span_start, *span_end, span_cap, n_spans;
+    uint8_t *paths;
+    int64_t path_cap, path_len;
+    int32_t *path_off;
+} Ex;
+
+/* name bytes of element v (raw case; synthesized elements use the table) */
+static const uint8_t *name_of(const Ex *x, int32_t v, int *len) {
+    int32_t a = x->name0[v];
+    if (a == -2) {
+        const char *k = KNOWN_TAGS[x->name1[v]];
+        *len = (int)strlen(k);
+        return (const uint8_t *)k;
+    }
+    *len = x->name1[v] - a;
+    return x->buf + a;
+}
+
+static int lower_eq(const uint8_t *a, const uint8_t *b, int len) {
+    for (int k = 0; k < len; k++) {
+        uint8_t c = a[k], d = b[k];
+        if (c >= 'A' && c <= 'Z') c += 32;
+        if (d >= 'A' && d <= 'Z') d += 32;
+        if (c != d) return 0;
+    }
+    return 1;
+}
+
+/* piece k's UTF-8 (the source span, "<" for a lone '<', or the caller's
+ * unescaped entity text) and its length in bytes and characters */
+static const uint8_t *piece_text(Ex *x, int32_t k, int64_t *len, int64_t *chars) {
+    int32_t f = x->pf[k];
+    const uint8_t *s;
+    if (f & PF_LONE_LT) {
+        *len = *chars = 1;
+        return (const uint8_t *)"<";
+    }
+    if (f & PF_AMP) {
+        int64_t g = x->piece_base + k, lo = 0, hi = x->n_ent;
+        while (lo < hi) {
+            int64_t m = lo + (hi - lo) / 2;
+            if (x->ent_piece[m] < g) lo = m + 1; else hi = m;
+        }
+        if (lo == x->n_ent || x->ent_piece[lo] != g) {
+            x->bad = 1;
+            *len = *chars = 0;
+            return x->ent_buf;
+        }
+        s = x->ent_buf + x->ent_off[lo];
+        *len = x->ent_off[lo + 1] - x->ent_off[lo];
+    } else {
+        s = x->buf + x->p0[k];
+        *len = x->p1[k] - x->p0[k];
+    }
+    *chars = utf8_chars(s, *len);
+    return s;
+}
+
+static int is_text(int t) { return t == NT_TEXT || t == NT_CDATA; }
+
+/* 1-based index of element v among its same-named element siblings, dead
+ * ones included (extract.py _node_path); memoized per node */
+static int32_t rank_of(Ex *x, int32_t v) {
+    int len, slen;
+    const uint8_t *nm;
+    int32_t r = 1;
+    if (x->rank[v]) return x->rank[v];
+    nm = name_of(x, v, &len);
+    for (int32_t s = x->ps[v]; s >= 0; s = x->ps[s]) {
+        if (x->types[s] != NT_ELEMENT) continue;
+        const uint8_t *sn = name_of(x, s, &slen);
+        if (slen != len || !lower_eq(sn, nm, len)) continue;
+        if (x->rank[s]) { r += x->rank[s]; break; }
+        r++;
+    }
+    return x->rank[v] = r;
+}
+
+/* append ASCII-lowered bytes to the path buffer; past its capacity only
+ * the length counts */
+static void put_path(Ex *x, const uint8_t *s, int64_t n) {
+    if (x->path_len + n <= x->path_cap) {
+        uint8_t *d = x->paths + x->path_len;
+        for (int64_t k = 0; k < n; k++)
+            d[k] = (s[k] >= 'A' && s[k] <= 'Z') ? (uint8_t)(s[k] + 32) : s[k];
+    }
+    x->path_len += n;
+}
+
+static void write_path(Ex *x, int32_t v) {
+    int depth = 0;
+    for (; v > 0; v = x->parents[v]) x->anc[depth++] = v;
+    while (depth--) {
+        int len;
+        char num[16];
+        int32_t a = x->anc[depth];
+        const uint8_t *nm = name_of(x, a, &len);
+        int nl = snprintf(num, sizeof num, "[%d]", (int)rank_of(x, a));
+        put_path(x, (const uint8_t *)"/", 1);
+        put_path(x, nm, len);
+        put_path(x, (const uint8_t *)num, nl);
+    }
+}
+
+/* copy the live text of pieces [k, pieces of stop) to the text buffer */
+static int64_t copy_text(Ex *x, int32_t k, int32_t stop) {
+    int64_t bytes = 0;
+    for (; k < x->npc && x->pn[k] < stop; k++) {
+        int32_t v = x->pn[k];
+        int64_t len, chars;
+        if (x->dead[v] || !is_text(x->types[v])) continue;
+        const uint8_t *s = piece_text(x, k, &len, &chars);
+        if (x->text_len + len > x->text_cap) { x->bad = 1; return bytes; }
+        memcpy(x->text + x->text_len, s, (size_t)len);
+        x->text_len += len;
+        bytes += len;
+    }
+    return bytes;
+}
+
+/* extract_main_content's density test for live block c, and its text,
+ * span and path when it is kept.  Candidates arrive in preorder and their
+ * subtrees are disjoint, so the piece cursor only moves forward. */
+static void consider(Ex *x, int32_t c) {
+    int32_t stop = x->end[c], a_end = 0;
+    int64_t chars = 0, link = 0, tags = 1;
+    while (x->pk < x->npc && x->pn[x->pk] < c) x->pk++;
+    int32_t k0 = x->pk;
+    for (int32_t i = c + 1; i < stop;) {
+        if (x->dead[i]) { i = x->end[i]; continue; }
+        if (is_text(x->types[i])) {
+            int64_t len, ch;
+            while (x->pk < x->npc && x->pn[x->pk] < i) x->pk++;
+            for (; x->pk < x->npc && x->pn[x->pk] == i; x->pk++) {
+                piece_text(x, x->pk, &len, &ch);
+                chars += ch;
+                if (i < a_end) link += ch;
+            }
+        } else if (x->types[i] == NT_ELEMENT && i >= a_end) {
+            tags++;  /* an <a> is one tag: its subtree is link text */
+            if (x->cls[i] & EC_A) a_end = x->end[i];
+        }
+        i++;
+    }
+    if (chars == 0 || chars * x->td_den < x->td_num * tags ||
+        x->ld_den * link > x->ld_num * chars)
+        return;
+    if (x->doc_spans) {
+        if (x->text_len >= x->text_cap) { x->bad = 1; return; }
+        x->text[x->text_len++] = '\n';
+        x->doc_chars++;
+    }
+    if (x->n_spans >= x->span_cap) { x->bad = 1; return; }
+    int64_t start = x->text_len - x->text_start;
+    x->span_start[x->n_spans] = start;
+    x->span_end[x->n_spans] = start + copy_text(x, k0, stop);
+    x->doc_chars += chars;
+    x->doc_spans++;
+    write_path(x, c);
+    if (x->path_len > INT32_MAX) x->bad = 1;
+    x->path_off[++x->n_spans] = (int32_t)x->path_len;
+}
+
+/* _title_of: the first <title> child of a <head> child of the root, as
+ * its string value (every TEXT/CDATA descendant, nothing is dead yet) */
+static int64_t write_title(Ex *x, int32_t root, uint8_t *out, int64_t cap) {
+    int64_t n = 0;
+    for (int32_t h = x->fc[root]; h >= 0; h = x->ns[h]) {
+        if (x->types[h] != NT_ELEMENT || !(x->cls[h] & EC_HEAD)) continue;
+        for (int32_t t = x->fc[h]; t >= 0; t = x->ns[t]) {
+            if (x->types[t] != NT_ELEMENT || !(x->cls[t] & EC_TITLE)) continue;
+            int32_t k = 0;
+            while (k < x->npc && x->pn[k] < t) k++;
+            for (; k < x->npc && x->pn[k] < x->end[t]; k++) {
+                int64_t len, chars;
+                if (!is_text(x->types[x->pn[k]])) continue;
+                const uint8_t *s = piece_text(x, k, &len, &chars);
+                if (n + len > cap) { x->bad = 1; return n; }
+                memcpy(out + n, s, (size_t)len);
+                n += len;
+            }
+            return n;
+        }
+    }
+    return 0;
+}
+
+/* Returns 0, 1 when the path buffer is too small (*path_need holds the
+ * bytes it needs; nothing else differs on a rerun), or -1 when the node
+ * or piece arrays break the parser's preorder contract or an output would
+ * overflow. */
+int32_t chtml_extract_batch(
+    int32_t n_docs, const int64_t *docs, const uint8_t *buf,
+    const int32_t *const *node, const int32_t *const *piece,
+    /* entity-escaped pieces: batch piece ids (ascending) and their UTF-8 */
+    int64_t n_ent, const int64_t *ent_piece, const int64_t *ent_off,
+    const uint8_t *ent_buf,
+    /* spec: space-separated tag names, one EC_* byte each; td/ld rule */
+    const uint8_t *class_names, int32_t class_names_len,
+    const uint8_t *class_bits, const int64_t *rule,
+    /* out: element classes per node, text, spans, paths, titles */
+    uint8_t *cls, uint8_t *text, int64_t text_cap, int64_t *text_off,
+    int64_t *text_chars, int64_t *span_counts, int64_t *span_start,
+    int64_t *span_end, int64_t span_cap, uint8_t *paths, int64_t path_cap,
+    int32_t *path_off, int64_t *path_need, uint8_t *titles, int64_t title_cap,
+    int64_t *title_off)
+{
+    NameSlot names[NAME_SLOTS];
+    if (build_classes(names, class_names, class_names_len, class_bits)) return -1;
+    int64_t n_nodes = n_docs ? docs[(n_docs - 1) * D_STRIDE + D_NODE_BASE] +
+                               docs[(n_docs - 1) * D_STRIDE + D_NN] : 0;
+    Ex x = {
+        .names = names, .n_ent = n_ent, .ent_piece = ent_piece,
+        .ent_off = ent_off, .ent_buf = ent_buf,
+        .td_num = rule[0], .td_den = rule[1], .ld_num = rule[2], .ld_den = rule[3],
+        .text = text, .text_cap = text_cap,
+        .span_start = span_start, .span_end = span_end, .span_cap = span_cap,
+        .paths = paths, .path_cap = path_cap, .path_off = path_off,
+    };
+    uint8_t *dead = malloc((size_t)n_nodes + 1);
+    int32_t *rank = calloc((size_t)n_nodes + 1, sizeof(int32_t));
+    int32_t *anc = malloc(((size_t)n_nodes + 1) * sizeof(int32_t));
+    if (!dead || !rank || !anc) x.bad = 1;
+    text_off[0] = title_off[0] = 0;
+    path_off[0] = 0;
+    for (int32_t d = 0; d < n_docs && !x.bad; d++) {
+        const int64_t *row = docs + (int64_t)d * D_STRIDE;
+        int64_t nb = row[D_NODE_BASE], pb = row[D_PIECE_BASE];
+        x.buf = buf + row[D_BUF_BASE];
+        x.types = node[N_TYPES] + nb;
+        x.parents = node[N_PARENTS] + nb;
+        x.fc = node[N_FC] + nb;
+        x.ns = node[N_NS] + nb;
+        x.ps = node[N_PS] + nb;
+        x.end = node[N_END] + nb;
+        x.name0 = node[N_NAME0] + nb;
+        x.name1 = node[N_NAME1] + nb;
+        x.pn = piece[P_NODE] + pb;
+        x.p0 = piece[P_0] + pb;
+        x.p1 = piece[P_1] + pb;
+        x.pf = piece[P_FLAGS] + pb;
+        x.nn = (int32_t)row[D_NN];
+        x.npc = (int32_t)row[D_NPC];
+        x.pk = 0;
+        x.piece_base = pb;
+        x.cls = cls + nb;
+        x.dead = dead + nb;
+        x.rank = rank + nb;
+        x.anc = anc;
+        x.text_start = x.text_len;
+        x.doc_chars = x.doc_spans = 0;
+
+        /* the preorder contract every walk below relies on */
+        for (int32_t k = 0; k < x.npc; k++)
+            if (x.pn[k] <= 0 || x.pn[k] >= x.nn || (k && x.pn[k] < x.pn[k - 1]))
+                x.bad = 1;
+        /* classes, the kill list and its effective-dead cover (extract.py
+         * kill_boilerplate_nodes), and the live block candidates */
+        int32_t dead_until = 0, block = -1, body = -1;
+        x.cls[0] = x.dead[0] = 0;
+        for (int32_t i = 1; i < x.nn && !x.bad; i++) {
+            int t = x.types[i], len;
+            if (x.end[i] <= i || x.end[i] > x.nn || x.parents[i] < 0 ||
+                x.parents[i] >= i || x.ps[i] >= i || (x.ns[i] >= 0 && x.ns[i] <= i) ||
+                (x.fc[i] >= 0 && x.fc[i] <= i) ||
+                (x.name0[i] == -2 && (x.name1[i] < 0 || x.name1[i] >= N_KNOWN))) {
+                x.bad = 1;
+                break;
+            }
+            x.cls[i] = 0;
+            if (t == NT_ELEMENT) {
+                const uint8_t *nm = name_of(&x, i, &len);
+                x.cls[i] = (uint8_t)class_of(names, nm, len);
+            }
+            if (i < dead_until) {
+                x.dead[i] = 1;
+            } else if ((t == NT_ELEMENT && (x.cls[i] & EC_KILL)) || t == NT_COMMENT ||
+                       t == NT_PI) {
+                x.dead[i] = 1;
+                dead_until = x.end[i];
+            } else {
+                x.dead[i] = 0;
+            }
+        }
+        int32_t root = (int32_t)row[D_ROOT];
+        if (root <= 0 || root >= x.nn) x.bad = 1;
+        if (x.bad) break;
+        int64_t tn = write_title(&x, root, titles + title_off[d], title_cap - title_off[d]);
+        title_off[d + 1] = title_off[d] + tn;
+        /* a live block is a candidate when the next live block in preorder
+         * lies outside it */
+        for (int32_t i = 1; i < x.nn && !x.bad; i++) {
+            if (x.dead[i] || x.types[i] != NT_ELEMENT) continue;
+            if (body < 0 && (x.cls[i] & EC_BODY)) body = i;
+            if (!(x.cls[i] & EC_BLOCK)) continue;
+            if (block >= 0 && i >= x.end[block]) consider(&x, block);
+            block = i;
+        }
+        if (block >= 0) consider(&x, block);
+        else if (body >= 0) consider(&x, body);
+        text_off[d + 1] = x.text_len;
+        text_chars[d] = x.doc_chars;
+        span_counts[d] = x.doc_spans;
+    }
+    free(dead);
+    free(rank);
+    free(anc);
+    if (x.bad) return -1;
+    *path_need = x.path_len;
+    return x.path_len > path_cap ? 1 : 0;
 }

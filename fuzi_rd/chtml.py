@@ -28,8 +28,6 @@ import subprocess
 import tempfile
 from html import unescape
 
-import numpy as np
-
 from fuzi_rd.dom import Arena
 from fuzi_rd.errors import ParseError
 from fuzi_rd.html_parser import parse_html_bytes
@@ -93,7 +91,7 @@ def _build_and_load():
     lib.chtml_parse.restype = ctypes.c_int32
     # raw pointers (ints) -- argument marshalling via ndpointer costs ~10 us
     # per array per call, x21 arrays that dominated the wrapper; pointers
-    # for the reusable buffers are computed once in _Buffers
+    # for the reusable buffers are computed once in fastextract.BatchExtractor
     lib.chtml_parse.argtypes = (
         [ctypes.c_char_p, ctypes.c_int32]
         + [ctypes.c_void_p] * 10 + [ctypes.c_int32]
@@ -101,45 +99,18 @@ def _build_and_load():
         + [ctypes.c_void_p] * 6 + [ctypes.c_int32]
         + [ctypes.c_void_p]
     )
+    # fastextract.BatchExtractor.finish: every pointer argument is a raw
+    # address, the rest are the declared integer widths
+    i32, i64, p = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+    lib.chtml_extract_batch.restype = i32
+    lib.chtml_extract_batch.argtypes = (
+        [i32] + [p] * 4 + [i64] + [p] * 3 + [p, i32, p, p]
+        + [p, p, i64] + [p] * 5 + [i64, p, i64] + [p] * 3 + [i64, p]
+    )
     return lib
 
 
-class _Buffers:
-    """Reusable per-process output buffers + their precomputed raw
-    pointers (the extractor actor parses documents sequentially)."""
-
-    __slots__ = ("node_cap", "piece_cap", "attr_cap", "nodes", "pieces",
-                 "attrs", "counts", "ptrs")
-
-    def __init__(self, node_cap=4096, piece_cap=4096, attr_cap=4096):
-        self._alloc(node_cap, piece_cap, attr_cap)
-
-    def _alloc(self, nc, pc_, ac):
-        self.node_cap, self.piece_cap, self.attr_cap = nc, pc_, ac
-        self.nodes = [np.empty(nc, dtype=np.int32) for _ in range(10)]
-        self.pieces = [np.empty(pc_, dtype=np.int32) for _ in range(4)]
-        self.attrs = [np.empty(ac, dtype=np.int32) for _ in range(6)]
-        self.counts = np.zeros(8, dtype=np.int32)
-        self.ptrs = (
-            [a.ctypes.data for a in self.nodes]
-            + [nc]
-            + [a.ctypes.data for a in self.pieces]
-            + [pc_]
-            + [a.ctypes.data for a in self.attrs]
-            + [ac]
-            + [self.counts.ctypes.data]
-        )
-
-    def grow(self, n):
-        need = max(n, 64)
-        self._alloc(
-            max(self.node_cap * 2, need),
-            max(self.piece_cap * 2, need),
-            max(self.attr_cap * 2, need),
-        )
-
-
-_bufs: _Buffers | None = None
+_bufs = None  # a one-document fastextract.BatchExtractor
 # tag / attr-key bytes -> str memo (names repeat heavily; bounded)
 _NAME_CACHE: dict[bytes, str] = {}
 
@@ -276,31 +247,18 @@ def parse_raw(data, encoding: str | None = None):
     with the node/piece/attr arrays left in the module ``_bufs`` (valid
     until the next parse — callers that keep them must copy).  Returns
     ``None`` when the kernel defers to Python; raises ParseError exactly
-    like the Python parser for empty input / no root element.  This is the
-    shared front half of :func:`parse_html_bytes_fast`, exposed so the
-    batched extraction fast path (fuzi_rd/fastextract.py) can consume the
-    kernel arrays without paying the Python-Arena marshalling."""
+    like the Python parser for empty input / no root element.  It is a
+    one-document batch of fuzi_rd/fastextract.py's ``BatchExtractor``."""
     global _bufs
-    buf, declared = to_utf8_buf(data, encoding)
-    n = len(buf)
-
     if _bufs is None:
-        _bufs = _Buffers()
-    b = _bufs
-    for _ in range(10):
-        rc = _lib.chtml_parse(buf, n, *b.ptrs)
-        if rc == 0:
-            break
-        b.grow(n)
-    else:
+        from fuzi_rd.fastextract import BatchExtractor
+
+        _bufs = BatchExtractor(4096, 4096)
+    _bufs.reset()
+    if not _bufs.add(data, encoding):
         return None
-    counts = b.counts
-    if counts[4]:
-        return None  # semantic corner: let the Python parser decide
-    nn, n_pieces, n_attrs, root = (int(counts[k]) for k in range(4))
-    if root < 0:
-        raise ParseError("parserFailure: no root element")
-    return buf, declared, nn, n_pieces, n_attrs, root
+    _, nn, _, n_pieces, _, root, _, n_attrs = _bufs._docs[0]
+    return bytes(_bufs._buf), _bufs.declared, nn, n_pieces, n_attrs, root
 
 
 def parse_html_bytes_fast(data, encoding: str | None = None):
@@ -313,7 +271,7 @@ def parse_html_bytes_fast(data, encoding: str | None = None):
     buf, declared, nn, n_pieces, n_attrs, root = rawres
     b = _bufs
 
-    (types, parents, fc, lc, ns, ps, sub_end, name0, name1, nflags) = b.nodes
+    (types, parents, fc, lc, ns, ps, sub_end, name0, name1, nflags) = b._nodes
     tl = types[:nn].tolist()
     arena = Arena(is_html=True)
     arena.types = tl
@@ -369,10 +327,10 @@ def parse_html_bytes_fast(data, encoding: str | None = None):
 
     # text content from pieces (contiguous per node, document order)
     texts: list = [None] * nn
-    pn = b.pieces[0][:n_pieces].tolist()
-    p0 = b.pieces[1][:n_pieces].tolist()
-    p1 = b.pieces[2][:n_pieces].tolist()
-    pf = b.pieces[3][:n_pieces].tolist()
+    pn = b._pieces[0][:n_pieces].tolist()
+    p0 = b._pieces[1][:n_pieces].tolist()
+    p1 = b._pieces[2][:n_pieces].tolist()
+    pf = b._pieces[3][:n_pieces].tolist()
     k = 0
     while k < n_pieces:
         node = pn[k]
@@ -398,12 +356,12 @@ def parse_html_bytes_fast(data, encoding: str | None = None):
     arena.texts = texts
 
     # attributes (contiguous per node, source order; first occurrence wins)
-    an = b.attrs[0][:n_attrs].tolist()
-    k0 = b.attrs[1][:n_attrs].tolist()
-    k1 = b.attrs[2][:n_attrs].tolist()
-    v0 = b.attrs[3][:n_attrs].tolist()
-    v1 = b.attrs[4][:n_attrs].tolist()
-    af = b.attrs[5][:n_attrs].tolist()
+    an = b._attrs[0][:n_attrs].tolist()
+    k0 = b._attrs[1][:n_attrs].tolist()
+    k1 = b._attrs[2][:n_attrs].tolist()
+    v0 = b._attrs[3][:n_attrs].tolist()
+    v1 = b._attrs[4][:n_attrs].tolist()
+    af = b._attrs[5][:n_attrs].tolist()
     j = 0
     while j < n_attrs:
         node = an[j]

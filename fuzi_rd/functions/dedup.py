@@ -138,7 +138,7 @@ def hash_join(left, right, join_type: str, num_partitions: int, on: tuple):
     )
 
 
-def _null_key_first(ds, keys_ds, key: str):
+def _null_key_first(ds, keys_ds, key: str, key_type: pa.DataType | None = None):
     """``keys_ds`` behind one row whose ``key`` is null, typed like the
     join key.  Ray's join sends the key side's schema to every partition
     only from the first block it sees, so a key side with no rows, or
@@ -146,17 +146,20 @@ def _null_key_first(ds, keys_ds, key: str):
     The null row is that first block, and a null key matches nothing, so
     an inner or anti join's result is unchanged.
 
-    The type comes from a schema Ray knows without running anything (a
-    read or materialized side); only when neither side has one is ``ds``
-    run up to its first non-empty block."""
+    The type is ``key_type`` when the caller knows it, else it comes from
+    a schema Ray knows without running anything (a read or materialized
+    side); only when neither side has one is ``ds`` run up to its first
+    non-empty block."""
     import ray
 
-    schema = keys_ds.schema(fetch_if_missing=False)
-    if schema is None or key not in schema.names:
-        schema = ds.schema()  # runs nothing when Ray can infer it
-    if schema is None or key not in schema.names:
-        return keys_ds
-    null = pa.nulls(1, dict(zip(schema.names, schema.types))[key])
+    if key_type is None:
+        schema = keys_ds.schema(fetch_if_missing=False)
+        if schema is None or key not in schema.names:
+            schema = ds.schema()  # runs nothing when Ray can infer it
+        if schema is None or key not in schema.names:
+            return keys_ds
+        key_type = dict(zip(schema.names, schema.types))[key]
+    null = pa.nulls(1, key_type)
     return ray.data.from_arrow(pa.table({key: null})).union(keys_ds)
 
 
@@ -242,7 +245,15 @@ def cross_corpus_dedup_keep(
             lambda b: b.select([_XHASH]), batch_format="pyarrow"
         )
     )
-    kept = anti_join(hashed_new, ref_keys, _XHASH, num_partitions)
+    # anti_join, with the null key typed as the md5 hex string it always
+    # is: building the plan runs neither side
+    kept = hash_join(
+        hashed_new,
+        _null_key_first(hashed_new, ref_keys, _XHASH, pa.string()),
+        "left_anti",
+        _semi_join_partitions(num_partitions),
+        (_XHASH,),
+    )
     return kept.map_batches(
         lambda b: b.drop_columns([_XHASH]), batch_format="pyarrow"
     )

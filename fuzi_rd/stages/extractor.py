@@ -14,6 +14,10 @@ takes the rows ``BatchExtractor.add`` accepts, and every other row runs
 through the shared page loop (``stages/products.py``) with this stage's
 products, in order: title, recipes, markdown, metadata, links, then the
 boilerplate kill and density (text, spans, n_nodes, text_len, text_hash).
+The kernel batch is two C calls: the parse of each page, then one pass
+over the whole batch (``chtml_extract_batch``) that writes the title,
+text, span and path buffers the output columns are built from without a
+Python string per row or span.
 
 Output schema (per input row, poison-pill tolerant — a failing page becomes
 a ``status='error'`` row whose product columns hold their empty values; it
@@ -152,9 +156,9 @@ class ExtractPages:
             self.products.append(LINKS)
         self.products.append(_MAIN_CONTENT)
         # Batched fast path (fuzi_rd/fastextract.py): with no recipes and no
-        # fused markdown/metadata (they need the full DOM API), kill+density+
-        # text assembly runs vectorized over the raw C-kernel arrays for the
-        # WHOLE batch (~2.9x on the hot loop); fused links are read straight
+        # fused markdown/metadata (they need the full DOM API), the title,
+        # kill, density and text/span assembly run in one C pass over the
+        # raw kernel arrays of the WHOLE batch; fused links are read straight
         # from the kernel attr arrays.  Byte-identity with _call_python is
         # pinned by tests/test_fastextract.py.
         self._fast = None
@@ -242,7 +246,7 @@ class ExtractPages:
         cols = {
             "url": pa.array(fast_urls, pa.string()),
             "part": self._parts(fast_urls),
-            "title": pa.array(res["title"], pa.large_string()),
+            "title": res["title"],
             # finish() produced ONE concatenated utf-8 buffer in fast-row
             # order: the column is built zero-copy
             "extracted_text": pa.Array.from_buffers(

@@ -88,14 +88,15 @@ def read_manifests(out_dir: str) -> list[dict]:
 
 
 def rollup(out_dir: str) -> dict:
-    """Aggregate all partition manifests into run-level metrics."""
-    manifests = read_manifests(out_dir)
-    total = {"parts": len(manifests)}
-    for k in (
-        "rows", "ok_rows", "error_rows", "bytes_in", "bytes_out", "parse_us_sum",
-        "dup_dropped", "rows_in", "short_rows", "low_quality_rows",
-    ):
-        total[k] = sum(m.get(k, 0) for m in manifests)
+    """Aggregate all partition manifests into run-level metrics: each
+    counter summed over the manifests that carry it.  A counter no manifest
+    carries is absent, so a measured 0 is told apart from no counter."""
+    total = {"parts": 0}
+    for m in read_manifests(out_dir):
+        total["parts"] += 1
+        for k, v in m.items():
+            if k not in ("part", "run_id", "text_checksum"):
+                total[k] = total.get(k, 0) + v
     return total
 
 
@@ -205,8 +206,13 @@ def part_writer(out_dir: str, sums: dict[str, str]):
             # directory (the corpus job links final parts to its
             # checkpoint) is replaced, never truncated
             name = f"data-{token}-{len(sub)}.parquet"
+            # no footer statistics: min/max of a text column is whole texts
+            # in every file's footer, and nothing filters on them
             pq.write_table(
-                sub.drop_columns(["part"]), pdir / f".{name}.tmp", compression="zstd"
+                sub.drop_columns(["part"]),
+                pdir / f".{name}.tmp",
+                compression="zstd",
+                write_statistics=False,
             )
             os.replace(pdir / f".{name}.tmp", pdir / name)
         return pa.table(

@@ -200,3 +200,20 @@ def test_kernel_exception_falls_back_to_python(monkeypatch, stage):
     monkeypatch.setattr(chtml, "available", lambda: False)
     assert raised.equals(run(batch))
     assert raised.num_rows > 0
+
+
+def test_kernel_source_builds_without_warnings():
+    """The kernel source compiles clean under -Wall -Wextra -Werror, so a
+    warning in new C code fails here rather than hiding in the runtime
+    build's silenced output."""
+    import shutil
+    import subprocess
+
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc")
+    got = subprocess.run(
+        ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(chtml._SRC)],
+        capture_output=True,
+        text=True,
+    )
+    assert got.returncode == 0, got.stderr

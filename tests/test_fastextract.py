@@ -116,14 +116,14 @@ ADVERSARIAL = [
     b"<a href=x>" + b"L" * 500 + b"</a>",
     b"<a href='u'>" + b"link " * 50 + b"</a><p>" + b"text " * 200 + b"</p>",
     b"<article>" + (b"<p>" + b"s" * 40 + b"</p>") * 20 + b"</article>",
-    # candidate INSIDE an ancestor <a> (the link-cover fix-up path)
+    # candidate INSIDE an ancestor <a> (whose text is not the block's link text)
     b"<a href=x><div><p>" + b"t" * 400 + b"</p></div></a>",
     # body fallback (no block candidates)
     b"<body>" + b"x" * 10 + b"</body>",
     # sibling-index paths: repeated same-named siblings, mixed case
     b"<div><p>a</p><p>bbbbbbbb</p><P>" + b"c" * 300 + b"</P></div>",
     b"<DIV><SPAN>x</SPAN>" + b"w " * 150 + b"</DIV>",
-    # >16-byte and unicode tag names (pack fallback paths)
+    # >16-byte and unicode tag names (no tag-class entry; a decline)
     b"<verylongtagnameexceeding16bytes><p>"
     + b"q" * 300
     + b"</p></verylongtagnameexceeding16bytes>",
@@ -141,6 +141,23 @@ ADVERSARIAL = [
     b"\xff\xfe<p>bad bom</p>",
     # invalid utf-8 with a charset claim (replacement-char path)
     b'<meta charset="utf-8"><p>bad \xff\xfe\xfa ' + b"m" * 300 + b"</p>",
+    # a candidate under an ancestor <a> holding two sibling <a>s and a
+    # nested one (closed by the parser, or nested under a dead <template>)
+    b"<a href=x><table><tr><td>" + b"t" * 120 + b"<a href=1>one</a><a href=2>two</a>"
+    b"<a href=3>three<a href=4>four</a></a></td></tr></table></a>",
+    b"<a href=x><table><tr><td>" + b"t" * 120 + b"<a href=1>one</a><a href=2>two</a>"
+    b"<a href=3>th<template><a href=4>four</a></template>ree</a></td></tr></table></a>",
+    # elements inside an <a> are not counted as the block's tags
+    b"<p>" + b"t" * 25 + b"<a href=x><b>l</b><i>m</i></a></p>",
+    # entity text inside link text and inside kept text
+    b"<p>" + b"x &amp; y &eacute; " * 30 + b"<a href=1>l &lt; &eacute;&#8212;m</a></p>",
+    # CDATA is a bogus comment up to the first '>'
+    b"<p><![CDATA[ x <b>y</b> ]]>" + b"z" * 300 + b"</p>",
+    b"<div><![CDATA[" + b"c" * 300 + b"]]></div>",
+    # several thousand candidates on one page
+    b"<div>" + b"".join(b"<p>%d " % i + b"w" * 30 + b"</p>" for i in range(3000)) + b"</div>",
+    # kept blocks 2000 elements deep: span paths longer than the first guess
+    b"<span>" * 2000 + (b"<p>" + b"d" * 40 + b"</p>") * 20,
 ]
 
 
@@ -194,6 +211,10 @@ def test_mixed_batch_with_declines_and_errors():
     _assert_identical(_table(mixed), "mixed")
     # no row accepted: the fast table is empty and only the merge runs
     _assert_identical(_table(NO_FAST_ROWS), "mixed-no-fast")
+    # the batch's one non-ASCII doc first, then last
+    uni = "<p>café 中文 “q” &eacute; ".encode() + b"z" * 300 + b"</p>"
+    _assert_identical(_table([uni] + good), "nonascii-first")
+    _assert_identical(_table(good + [uni]), "nonascii-last")
 
 
 def test_whole_batch_safety_net(monkeypatch):

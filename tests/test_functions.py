@@ -2031,8 +2031,9 @@ def test_key_joins_with_empty_or_empty_first_key_blocks(ray_session, tmp_path):
     first block is empty (Ray's join then finds no key column in the
     partitions that get none of its rows); ``cross_corpus_dedup_keep``
     against an empty reference corpus keeps every document.  With a key
-    side whose schema Ray knows (a read or a materialized Dataset),
-    building the join runs neither side."""
+    side whose schema Ray knows (a read or a materialized Dataset), and in
+    ``cross_corpus_dedup_keep`` (its key is an md5 hex string), building
+    the join runs neither side."""
     import pyarrow.parquet as pq
     import ray
 
@@ -2058,7 +2059,10 @@ def test_key_joins_with_empty_or_empty_first_key_blocks(ray_session, tmp_path):
         (dedup.anti_join(ds, read_keys, "doc_id"), [0, 2]),
         (dedup.semi_join(ds, read_keys, "doc_id"), [1]),
     ]
+    ref = ray.data.from_arrow(_docs_table(["b"])).map_batches(touch, batch_format="pyarrow")
+    cross = dedup.cross_corpus_dedup_keep(ds, ref)
     assert not marker.exists()
+    assert sorted(r["doc_id"] for r in cross.take_all()) == [0, 2]
     # Ray keeps no schema for a side of empty blocks, so the left side runs
     joins += [
         (dedup.anti_join(ds, no_keys, "doc_id"), [0, 1, 2]),

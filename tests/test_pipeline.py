@@ -37,6 +37,24 @@ def test_rollup_counts(extracted):
     assert roll["rows"] == N_ROWS
     assert roll["ok_rows"] == N_ROWS
     assert roll["error_rows"] == 0
+    assert roll["bytes_in"] > 0
+
+
+def test_part_files_carry_no_column_statistics(extracted):
+    """Part files store no footer min/max: a text column's would put whole
+    texts in every file's footer, and nothing filters on them."""
+    import pathlib
+
+    import pyarrow.parquet as pq
+
+    out, _ = extracted
+    files = sorted(pathlib.Path(out).glob("part=*/*.parquet"))
+    assert files
+    for f in files:
+        meta = pq.ParquetFile(f).metadata
+        for rg in range(meta.num_row_groups):
+            for c in range(meta.num_columns):
+                assert not meta.row_group(rg).column(c).is_stats_set, (f, c)
 
 
 # extract_dataset configs run besides the full job: a recipe forces the
@@ -715,7 +733,11 @@ def test_corpus_checkpoint_counts_every_dropped_page(ray_session, pages_dir, tmp
     pq.write_table(pq.read_table(pages_dir, columns=["url", "html"]), pages / "a.parquet")
     pq.write_table(extra, pages / "b.parquet")
     out = str(tmp_path / "out")
-    run_corpus(str(pages), out, num_parts=NUM_PARTS, resume=False, batch_size=16)
+    got = run_corpus(str(pages), out, num_parts=NUM_PARTS, resume=False, batch_size=16)
+    # the final manifests carry none of the extraction or cleaning counters
+    absent = {"ok_rows", "error_rows", "bytes_in", "parse_us_sum", "rows_in",
+              "short_rows", "low_quality_rows"}
+    assert not absent & got.keys(), got
     ck = mf.read_manifests(f"{out}/_checkpoint")
     assert len(ck) == NUM_PARTS
     for m in ck:
@@ -727,7 +749,9 @@ def test_corpus_checkpoint_counts_every_dropped_page(ray_session, pages_dir, tmp
         assert sum(m[reason] for m in ck) > 0, reason
     roll = mf.rollup(f"{out}/_checkpoint")
     assert roll["rows_in"] == N_ROWS + len(extra)
-    assert roll["rows"] == sum(m["rows"] for m in mf.read_manifests(out)) + roll["dup_dropped"]
+    # the checkpoint carries no dup_dropped; the final roll-up does
+    assert "dup_dropped" not in roll
+    assert roll["rows"] == sum(m["rows"] for m in mf.read_manifests(out)) + got["dup_dropped"]
 
 
 def test_corpus_job_resume_of_finished_output_reads_no_input(
