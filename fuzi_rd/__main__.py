@@ -1,8 +1,9 @@
 """Job entry point: ``python -m fuzi_rd --input <pages.parquet dir> --out <dir>``.
 
 This is the script a cluster run submits (``ray job submit -- python -m
-fuzi_rd ...``).  On the driver box it initializes a local Ray session if
-none exists (guarded — the round driver and tests own their own sessions).
+fuzi_rd ...``).  Unless a Ray session is already up, it calls
+``ray.init()``, which joins the cluster ``RAY_ADDRESS`` names (``ray job
+submit`` sets it for its entrypoint) or starts a local one.
 
 Exit code 0 iff the fraction of error rows is within ``--max-error-rate``
 (default 0: every row must extract cleanly) and all partition manifests
@@ -14,6 +15,7 @@ manifest-less and they are recomputed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -22,8 +24,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="python -m fuzi_rd")
     ap.add_argument("--input", required=True, help="input parquet file/dir (url, html)")
     ap.add_argument("--out", required=True, help="output directory (partitioned parquet + _manifests)")
-    ap.add_argument("--num-parts", type=int, default=256, help="url-hash partition count (stable across runs)")
-    ap.add_argument("--batch-size", type=int, default=512)
+    from fuzi_rd.pipelines.extraction import run_extraction
+    from fuzi_rd.stages.extractor import DEFAULT_NUM_PARTS
+
+    ap.add_argument("--num-parts", type=int, default=DEFAULT_NUM_PARTS, help="url-hash partition count (stable across runs)")
+    ap.add_argument(
+        "--batch-size",
+        type=int,
+        default=inspect.signature(run_extraction).parameters["batch_size"].default,
+        help="rows per extraction call (default: each task's whole block)",
+    )
     ap.add_argument("--recipe", default=None, help='JSON dict of named queries, e.g. {"h1": "css: h1", "n_links": "count(//a)"}')
     ap.add_argument("--no-resume", action="store_true", help="wipe the output dir and recompute everything")
     ap.add_argument("--max-error-rate", type=float, default=0.0, help="max tolerated fraction of error rows before exiting non-zero")
@@ -33,9 +43,7 @@ def main(argv=None) -> int:
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", include_dashboard=False)
-
-    from fuzi_rd.pipelines.extraction import run_extraction
+        ray.init(include_dashboard=False)
 
     roll = run_extraction(
         args.input,

@@ -21,6 +21,7 @@
 #include <stdio.h>
 #include <string.h>
 #include <stdlib.h>
+#include <time.h>
 
 #define NT_ELEMENT 1
 #define NT_TEXT 3
@@ -194,7 +195,8 @@ static int tag_id(Interner *in, const uint8_t *s, int i0, int i1) {
         low[k] = (c >= 'A' && c <= 'Z') ? (char)(c + 32) : (char)c;
     }
     for (int k = 0; k < N_KNOWN; k++) {
-        if ((int)strlen(KNOWN_TAGS[k]) == len && memcmp(KNOWN_TAGS[k], low, len) == 0) {
+        if (KNOWN_TAGS[k][0] == low[0] && (int)strlen(KNOWN_TAGS[k]) == len &&
+            memcmp(KNOWN_TAGS[k], low, len) == 0) {
             if (heap_low) free(low);
             return k;
         }
@@ -500,7 +502,7 @@ static int span_needs_lower(const uint8_t *s, int a, int b) {
     return 0;
 }
 
-int32_t chtml_parse(
+static int32_t parse_doc(
     const uint8_t *s, int32_t n,
     /* nodes */
     int32_t *types, int32_t *parents, int32_t *fc, int32_t *lc,
@@ -759,11 +761,194 @@ int32_t chtml_parse(
     return ERR_OK;
 }
 
+/* ---- Arrow batch parse -------------------------------------------------
+ *
+ * chtml_parse_arrow parses the rows of an Arrow binary or large_binary
+ * array (its validity, offset and data buffers and its offset) into
+ * batch-wide node, piece and attr arrays.  Each accepted row is parsed in
+ * place in the data buffer, its arrays start at the current bases, and its
+ * doc-table row records those bases, its counts, its root and the address
+ * and length of its bytes.  Before the parse a raw row gets the page cap
+ * and the checks of chtml.to_utf8_buf: rows whose bytes are not already
+ * what that decode would give (a BOM, a charset other than a UTF-8 or
+ * ASCII one, bytes that are not strict UTF-8) are left to it.  A decoded
+ * array (to_utf8_buf's output) is parsed as it is.
+ */
+
+/* per-row states (contract with fastextract.py ROW_*) */
+#define RS_OK 0
+#define RS_DECODE 1     /* Python decodes the row, then it is parsed decoded */
+#define RS_DECLINE 2    /* a corner the Python parser decides */
+#define RS_EMPTY 3      /* ParseError: empty input */
+#define RS_NO_ROOT 4    /* ParseError: no root element */
+#define RS_OVER_CAP 5   /* over max_bytes: an error row */
+
+/* per-doc row of the doc table */
+enum {
+    D_NODE_BASE, D_NN, D_PIECE_BASE, D_NPC, D_BUF, D_ROOT, D_ATTR_BASE, D_NA,
+    D_LEN, D_STRIDE
+};
+/* the in/out cursor: next row, docs written, array bases, and the bases a
+ * row that did not fit needs */
+enum { A_ROW, A_DOCS, A_NODE, A_PIECE, A_ATTR, A_NEED_NODE, A_NEED_PIECE, A_NEED_ATTR };
+
+/* 2 for ASCII, 1 for other strict UTF-8 (what Python's decoder accepts:
+ * no overlongs, surrogates or code points past U+10FFFF), 0 otherwise */
+static int utf8_class(const uint8_t *s, int64_t n) {
+    int ascii = 1;
+    for (int64_t i = 0; i < n;) {
+        if (i + 8 <= n) {  /* eight ASCII bytes at a time */
+            uint64_t w;
+            memcpy(&w, s + i, 8);
+            if (!(w & 0x8080808080808080ULL)) {
+                i += 8;
+                continue;
+            }
+        }
+        uint8_t c = s[i], lo = 0x80, hi = 0xbf;
+        int len;
+        if (c < 0x80) { i++; continue; }
+        ascii = 0;
+        if (c >= 0xc2 && c <= 0xdf) len = 2;
+        else if (c >= 0xe0 && c <= 0xef) {
+            len = 3;
+            if (c == 0xe0) lo = 0xa0;
+            if (c == 0xed) hi = 0x9f;
+        } else if (c >= 0xf0 && c <= 0xf4) {
+            len = 4;
+            if (c == 0xf0) lo = 0x90;
+            if (c == 0xf4) hi = 0x8f;
+        } else return 0;
+        if (i + len > n || s[i + 1] < lo || s[i + 1] > hi) return 0;
+        for (int k = 2; k < len; k++)
+            if ((s[i + k] & 0xc0) != 0x80) return 0;
+        i += len;
+    }
+    return ascii ? 2 : 1;
+}
+
+/* chtml.to_utf8_buf's rule: RS_OK when the row's bytes are their own
+ * decode, else RS_DECODE.  The charset is html_parser._sniff_charset's:
+ * the first "charset=" in the ASCII-lowered first 2048 bytes, an optional
+ * quote, then the name up to a quote, '>', ' ', '/' or ';'. */
+static int check_row(const uint8_t *s, int64_t n) {
+    if ((n >= 3 && s[0] == 0xef && s[1] == 0xbb && s[2] == 0xbf) ||
+        (n >= 2 && ((s[0] == 0xff && s[1] == 0xfe) || (s[0] == 0xfe && s[1] == 0xff))))
+        return RS_DECODE;
+    int cls = utf8_class(s, n), h = n < 2048 ? (int)n : 2048;
+    int a = find_ci(s, h, 0, "charset=");
+    if (a < 0) return cls ? RS_OK : RS_DECODE;
+    a += 8;
+    if (a < h && (s[a] == '"' || s[a] == '\'')) a++;
+    char norm[8];  /* the name lowered, without '-' and '_' */
+    int m = 0;
+    for (int b = a; b < h; b++) {
+        uint8_t c = s[b];
+        if (c == '"' || c == '\'' || c == '>' || c == ' ' || c == '/' || c == ';') break;
+        if (c >= 0x80) return RS_DECODE;  /* not an ASCII name: no charset */
+        if (c == '-' || c == '_') continue;
+        if (m == (int)sizeof norm) return RS_DECODE;
+        norm[m++] = (c >= 'A' && c <= 'Z') ? (char)(c + 32) : (char)c;
+    }
+    if (cls && m == 4 && !memcmp(norm, "utf8", 4)) return RS_OK;
+    if (cls == 2 && ((m == 5 && !memcmp(norm, "ascii", 5)) ||
+                     (m == 7 && !memcmp(norm, "usascii", 7)) ||
+                     (m == 3 && !memcmp(norm, "646", 3))))
+        return RS_OK;
+    return RS_DECODE;
+}
+
+static int64_t ns_now(void) {
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
+}
+
+/* Returns 0 when every row from acc[A_ROW] on has its state, or 1 when a
+ * row did not fit the arrays: acc[A_ROW] is that row and acc[A_NEED_*] the
+ * capacities it needs, and a call with larger arrays goes on from there. */
+int32_t chtml_parse_arrow(
+    int64_t n_rows, int64_t offset, const uint8_t *validity,
+    const void *offsets, int32_t large, const uint8_t *data,
+    int32_t decoded, int64_t max_bytes,
+    int32_t *const *node, int64_t node_cap, int32_t *const *piece,
+    int64_t piece_cap, int32_t *const *attr, int64_t attr_cap,
+    /* out: doc table, per-row state and parse time */
+    int64_t *docs, int8_t *state, int64_t *row_ns, int64_t *acc)
+{
+    for (int64_t r = acc[A_ROW]; r < n_rows; r++) {
+        int64_t t0 = ns_now(), i = offset + r, a, n;
+        int32_t counts[5];
+        int st = RS_OK;
+        if (large) {
+            a = ((const int64_t *)offsets)[i];
+            n = ((const int64_t *)offsets)[i + 1] - a;
+        } else {
+            a = ((const int32_t *)offsets)[i];
+            n = ((const int32_t *)offsets)[i + 1] - a;
+        }
+        if (validity && !((validity[i >> 3] >> (i & 7)) & 1)) n = 0;
+        const uint8_t *s = data + a;
+        if (n == 0 && !decoded) st = RS_EMPTY;
+        else if (n > max_bytes) st = RS_OVER_CAP;
+        else if (!decoded) st = check_row(s, n);
+        if (st == RS_OK) {
+            int64_t nb = acc[A_NODE], pb = acc[A_PIECE], ab = acc[A_ATTR];
+            int32_t rc = parse_doc(
+                s, (int32_t)n,
+                node[0] + nb, node[1] + nb, node[2] + nb, node[3] + nb, node[4] + nb,
+                node[5] + nb, node[6] + nb, node[7] + nb, node[8] + nb, node[9] + nb,
+                (int32_t)(node_cap - nb),
+                piece[0] + pb, piece[1] + pb, piece[2] + pb, piece[3] + pb,
+                (int32_t)(piece_cap - pb),
+                attr[0] + ab, attr[1] + ab, attr[2] + ab, attr[3] + ab, attr[4] + ab,
+                attr[5] + ab, (int32_t)(attr_cap - ab), counts);
+            if (rc) {
+                /* a page of n bytes makes under 2n + 64 nodes and pieces
+                 * and n + 64 attrs; past that the kernel is at fault */
+                int64_t m = n < 64 ? 64 : n;
+                if (node_cap - nb >= 2 * m + 64 && piece_cap - pb >= 2 * m + 64 &&
+                    attr_cap - ab >= m + 64) {
+                    st = RS_DECLINE;
+                } else {
+                    acc[A_ROW] = r;
+                    acc[A_NEED_NODE] = nb + 2 * m + 64;
+                    acc[A_NEED_PIECE] = pb + 2 * m + 64;
+                    acc[A_NEED_ATTR] = ab + m + 64;
+                    return 1;
+                }
+            } else if (counts[4]) {
+                st = RS_DECLINE;
+            } else if (counts[3] < 0) {
+                st = RS_NO_ROOT;
+            } else {
+                int64_t *d = docs + acc[A_DOCS]++ * D_STRIDE;
+                d[D_NODE_BASE] = nb;
+                d[D_NN] = counts[0];
+                d[D_PIECE_BASE] = pb;
+                d[D_NPC] = counts[1];
+                d[D_BUF] = (int64_t)(intptr_t)s;
+                d[D_ROOT] = counts[3];
+                d[D_ATTR_BASE] = ab;
+                d[D_NA] = counts[2];
+                d[D_LEN] = n;
+                acc[A_NODE] = nb + counts[0];
+                acc[A_PIECE] = pb + counts[1];
+                acc[A_ATTR] = ab + counts[2];
+            }
+        }
+        state[r] = (int8_t)st;
+        row_ns[r] = ns_now() - t0;
+    }
+    acc[A_ROW] = n_rows;
+    return 0;
+}
+
 /* ---- batch extraction --------------------------------------------------
  *
  * chtml_extract_batch runs fuzi_rd/extract.py over every document of a
- * batch whose chtml_parse outputs share one set of node and piece arrays
- * (each parse was pointed at its own base offsets): the <head><title>
+ * batch whose chtml_parse_arrow outputs share one set of node and piece
+ * arrays (each doc at its own base offsets): the <head><title>
  * string before the kill (_title_of), the kill list and its effective-dead
  * cover, the live block candidates with the first-live-body fallback, the
  * character counts (an <a> counts as one tag and all of its live text as
@@ -783,8 +968,6 @@ int32_t chtml_parse(
 /* node and piece array order of the pointer tables the caller passes */
 enum { N_TYPES, N_PARENTS, N_FC, N_LC, N_NS, N_PS, N_END, N_NAME0, N_NAME1 };
 enum { P_NODE, P_0, P_1, P_FLAGS };
-/* per-doc row of the doc table */
-enum { D_NODE_BASE, D_NN, D_PIECE_BASE, D_NPC, D_BUF_BASE, D_ROOT, D_STRIDE = 8 };
 
 #define NAME_SLOTS 256  /* class table: open addressing, power of two */
 
@@ -1061,8 +1244,7 @@ static int64_t write_title(Ex *x, int32_t root, uint8_t *out, int64_t cap) {
  * or piece arrays break the parser's preorder contract or an output would
  * overflow. */
 int32_t chtml_extract_batch(
-    int32_t n_docs, const int64_t *docs, const uint8_t *buf,
-    const int32_t *const *node, const int32_t *const *piece,
+    int32_t n_docs, const int64_t *docs, const int32_t *const *node, const int32_t *const *piece,
     /* entity-escaped pieces: batch piece ids (ascending) and their UTF-8 */
     int64_t n_ent, const int64_t *ent_piece, const int64_t *ent_off,
     const uint8_t *ent_buf,
@@ -1097,7 +1279,7 @@ int32_t chtml_extract_batch(
     for (int32_t d = 0; d < n_docs && !x.bad; d++) {
         const int64_t *row = docs + (int64_t)d * D_STRIDE;
         int64_t nb = row[D_NODE_BASE], pb = row[D_PIECE_BASE];
-        x.buf = buf + row[D_BUF_BASE];
+        x.buf = (const uint8_t *)(intptr_t)row[D_BUF];
         x.types = node[N_TYPES] + nb;
         x.parents = node[N_PARENTS] + nb;
         x.fc = node[N_FC] + nb;

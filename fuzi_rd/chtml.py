@@ -46,6 +46,10 @@ _KNOWN_TAGS = (
 # Hard per-page cap: a larger page becomes an error row without a parse, so
 # one blob cannot exhaust a worker's heap.
 MAX_PAGE_BYTES = 64 * 1024 * 1024
+# One kernel pass of the batch path parses at most this much html (a larger
+# page is a pass of its own), so the kernel arrays of a whole Ray block
+# stay a bounded multiple of it.
+KERNEL_PASS_BYTES = 16 * 1024 * 1024
 
 _lib = None
 _tried = False
@@ -88,23 +92,17 @@ def _build_and_load():
     if not stat.S_ISREG(st.st_mode) or st.st_uid != os.getuid():
         raise RuntimeError(f"refusing unsafe chtml kernel file {so}")
     lib = ctypes.CDLL(str(so))
-    lib.chtml_parse.restype = ctypes.c_int32
-    # raw pointers (ints) -- argument marshalling via ndpointer costs ~10 us
-    # per array per call, x21 arrays that dominated the wrapper; pointers
-    # for the reusable buffers are computed once in fastextract.BatchExtractor
-    lib.chtml_parse.argtypes = (
-        [ctypes.c_char_p, ctypes.c_int32]
-        + [ctypes.c_void_p] * 10 + [ctypes.c_int32]
-        + [ctypes.c_void_p] * 4 + [ctypes.c_int32]
-        + [ctypes.c_void_p] * 6 + [ctypes.c_int32]
-        + [ctypes.c_void_p]
-    )
-    # fastextract.BatchExtractor.finish: every pointer argument is a raw
-    # address, the rest are the declared integer widths
+    # fastextract.BatchExtractor: every pointer argument is a raw address
+    # (ndpointer marshalling cost ~10 us per array per call), the rest are
+    # the declared integer widths
     i32, i64, p = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+    lib.chtml_parse_arrow.restype = i32
+    lib.chtml_parse_arrow.argtypes = (
+        [i64, i64, p, p, i32, p, i32, i64] + [p, i64] * 3 + [p] * 4
+    )
     lib.chtml_extract_batch.restype = i32
     lib.chtml_extract_batch.argtypes = (
-        [i32] + [p] * 4 + [i64] + [p] * 3 + [p, i32, p, p]
+        [i32] + [p] * 3 + [i64] + [p] * 3 + [p, i32, p, p]
         + [p, p, i64] + [p] * 5 + [i64, p, i64] + [p] * 3 + [i64, p]
     )
     return lib
@@ -131,11 +129,44 @@ def available() -> bool:
         )
         fast = parse_html_bytes_fast(probe, None)
         ref = parse_html_bytes(probe, track_lines=False)
-        if fast is None or not _arena_equal(fast, ref):
+        if fast is None or not _arena_equal(fast, ref) or not _batch_self_check():
             _lib = None
     except Exception:
         _lib = None
     return _lib is not None
+
+
+# the batch entry's self-check pages: ASCII, declared UTF-8 with non-ASCII
+# text, and a legacy charset (decoded in Python, then parsed decoded)
+_BATCH_PROBE = (
+    b"<p>plain <b>ascii</b></p>",
+    '<meta charset="UTF-8"><p>caf\u00e9 \u2713</p>'.encode(),
+    '<meta charset=windows-1252><p>caf\u00e9</p>'.encode("cp1252"),
+)
+
+
+def _batch_self_check() -> bool:
+    """Each probe page parses as the Python parser does, and
+    ``chtml_parse_arrow`` over them as a sliced array gives each page the
+    arrays of its one-page parse."""
+    import pyarrow as pa
+
+    from fuzi_rd.fastextract import BatchExtractor
+
+    for page in _BATCH_PROBE:
+        fast = parse_html_bytes_fast(page)
+        if fast is None or not _arena_equal(fast, parse_html_bytes(page, track_lines=False)):
+            return False
+    arr = pa.array([b"<p>x</p>", *_BATCH_PROBE], pa.large_binary()).slice(1)
+    batch, one = BatchExtractor(64, 64), BatchExtractor(64, 64)
+    rows = batch.add_array(arr)[0].tolist()
+    if sorted(rows) != list(range(len(_BATCH_PROBE))):
+        return False
+    for d, row in enumerate(rows):
+        one.reset()
+        if not one.add(_BATCH_PROBE[row]) or one.doc_arrays(0) != batch.doc_arrays(d):
+            return False
+    return True
 
 
 def check_page_size(raw) -> None:
@@ -148,15 +179,17 @@ def check_page_size(raw) -> None:
         )
 
 
-def parse_page(raw) -> Arena:
+def parse_page(raw, kernel: bool = True) -> Arena:
     """Parse one page for a page stage: the C kernel when it is available
     and accepts the document, else the Python parser (the authority).
 
     A kernel ``ParseError`` propagates unchanged: it is the error the Python
     parser raises for the same input.  Any other kernel exception falls
-    back to Python.  Line numbers are not tracked."""
+    back to Python.  ``kernel=False`` goes straight to the Python parser,
+    for a page the kernel has already seen.  Line numbers are not
+    tracked."""
     check_page_size(raw)
-    if available():
+    if kernel and available():
         try:
             arena = parse_html_bytes_fast(raw)
         except ParseError:
@@ -193,7 +226,9 @@ def to_utf8_buf(data, encoding: str | None = None) -> tuple[bytes, str]:
     """Decode front half shared by the parse paths: returns (utf8_bytes,
     declared_encoding).  Raises ParseError for empty input like the Python
     parser.  The returned bytes are ALWAYS valid UTF-8 (ASCII fast path,
-    strict-decode fast path, or re-encode of the decoded text)."""
+    strict-decode fast path, or re-encode of the decoded text).  The batch
+    kernel applies the same fast-path rule in C (``_chtml.c::check_row``)
+    and leaves every other page to this function."""
     from fuzi_rd.html_parser import _decode_html
 
     if isinstance(data, (bytes, bytearray, memoryview)):
@@ -257,8 +292,8 @@ def parse_raw(data, encoding: str | None = None):
     _bufs.reset()
     if not _bufs.add(data, encoding):
         return None
-    _, nn, _, n_pieces, _, root, _, n_attrs = _bufs._docs[0]
-    return bytes(_bufs._buf), _bufs.declared, nn, n_pieces, n_attrs, root
+    _, nn, _, n_pieces, addr, root, _, n_attrs, n = _bufs.doc_table()[0].tolist()
+    return ctypes.string_at(addr, n), _bufs.declared, nn, n_pieces, n_attrs, root
 
 
 def parse_html_bytes_fast(data, encoding: str | None = None):

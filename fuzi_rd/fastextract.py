@@ -7,8 +7,13 @@ XPath/CSS recipes or render markdown/metadata/links read.  This module
 computes EXACTLY the `fuzi_rd.extract` result straight from the kernel's
 flat int32 arrays, through two kernel entry points:
 
-  - ``add`` runs ``chtml_parse`` per document, pointed at ``base`` offsets
-    of batch-wide node/piece/attr buffers (no per-doc copy);
+  - ``add_array`` runs ``chtml_parse_arrow`` once over a ``binary`` /
+    ``large_binary`` Arrow array: per row the page cap, the BOM / charset
+    / strict-UTF-8 checks of ``chtml.to_utf8_buf``, and the parse of the
+    row in place in the Arrow data buffer, into batch-wide node/piece/attr
+    arrays (no per-row Python, no copy of the page).  The rows that need a
+    decode (a BOM, a legacy charset, invalid UTF-8) are decoded by
+    ``to_utf8_buf`` and parsed by a second call; ``add`` is a one-row call;
   - ``finish`` runs ``chtml_extract_batch`` (``_chtml.c``) once over the
     whole batch: per document one linear pass makes the pre-kill title, the
     kill list and its effective-dead cover, the live block candidates, the
@@ -17,18 +22,19 @@ flat int32 arrays, through two kernel entry points:
     thresholds come from ``fuzi_rd.extract``; the rare entity-escaped piece
     is unescaped here once per distinct segment (``html.unescape`` is the
     authority) and handed to C as UTF-8.  The text, title and path columns
-    are built zero-copy from the kernel's output buffers (the source bytes
-    are valid UTF-8 by the decode contract of chtml.to_utf8_buf).
+    are built zero-copy from the kernel's output buffers (a parsed page's
+    bytes are valid UTF-8: the kernel checked them, or to_utf8_buf made
+    them).
 
 Byte-identity with the reference pipeline (parse_html_bytes ->
 kill_boilerplate_nodes -> extract_main_content) is pinned by
 tests/test_fastextract.py (differential over goldens, synthesized crawl
-pages, the fuzz generator, and adversarial corners).  Docs `add` does not
-accept (a decline or a ParseError) are not this module's: the caller
-answers them with its Python path, which parses through
-`chtml.parse_page`.  Kernel arrays that break the parser's preorder
-contract (a kernel bug) make ``finish`` raise, and the caller redoes the
-whole batch in Python — output is identical either way.
+pages, the fuzz generator, adversarial corners, and every Arrow layout and
+decode corner).  Rows the kernel does not accept (a decline, a ParseError,
+a page over the cap) are not this module's: the caller answers them with
+its Python path.  Kernel arrays that break the parser's preorder contract
+(a kernel bug) make ``finish`` raise, and the caller redoes the whole batch
+in Python — output is identical either way.
 
 Reference parity anchor: the extraction spec lives in fuzi_rd/extract.py
 (SURVEY.md §2.8); this module is an execution strategy for it, not a new
@@ -40,6 +46,7 @@ from __future__ import annotations
 import ctypes
 import zlib
 from html import unescape
+from time import perf_counter_ns
 
 import numpy as np
 import pyarrow as pa
@@ -47,6 +54,7 @@ import pyarrow as pa
 from fuzi_rd import chtml
 from fuzi_rd.errors import ParseError
 from fuzi_rd.extract import BLOCK_TAGS, KILL_TAGS, LD_DEN, LD_NUM, TD_DEN, TD_NUM
+from fuzi_rd.html_parser import _sniff_charset
 
 # piece-flag bits (contract with _chtml.c, mirrored from chtml marshalling)
 _PF_UNESCAPE = 1
@@ -55,6 +63,14 @@ _PF_LT = 2
 _N_NODE_ARRS = 10  # types parents fc lc ns ps sub_end name0 name1 nflags
 _I_TYPES, _I_END = 0, 6
 _N_PIECE_ARRS = 4  # pn p0 p1 pf
+_N_ATTR_ARRS = 6  # an k0 k1 v0 v1 flags
+
+# per-row states of chtml_parse_arrow (contract with _chtml.c RS_*)
+ROW_OK, ROW_DECODE, ROW_DECLINE, ROW_EMPTY, ROW_NO_ROOT, ROW_OVER_CAP = range(6)
+# doc-table columns (contract with _chtml.c D_*): node base, node count,
+# piece base, piece count, source address, root, attr base, attr count and
+# source length
+_D_NPC, _D_BUF, _D_NA, _D_LEN, _D_STRIDE = 3, 4, 7, 8, 9
 
 # element-class bits of chtml_extract_batch (contract with _chtml.c EC_*)
 _EC_A, _EC_BASE = 4, 64
@@ -79,22 +95,36 @@ def _ptr(a: np.ndarray) -> int:
     return a.ctypes.data
 
 
+def _at(a: int, b: int) -> bytes:
+    """The source bytes at addresses ``[a, b)`` (docs point into their
+    Arrow data buffers)."""
+    return ctypes.string_at(a, b - a)
+
+
+def _one_row(data) -> pa.Array:
+    """``data`` (bytes-like or None) as a one-row ``binary`` array, zero-copy."""
+    if data is None:
+        return pa.nulls(1, pa.binary())
+    offsets = pa.py_buffer(np.array([0, len(data)], dtype=np.int32))
+    return pa.Array.from_buffers(pa.binary(), 1, [None, offsets, pa.py_buffer(data)])
+
+
 class BatchExtractor:
-    """Accumulate C parses for one Arrow batch, then extract all docs in one
+    """Accumulate C parses for one batch, then extract all docs in one
     kernel pass.  Usage per batch:
 
         bx.reset()
-        for raw in htmls: ok = bx.add(raw)   # False -> caller falls back
-        results = bx.finish()                # dict of per-doc outputs
+        rows, state, ns = bx.add_array(html)  # or: ok = bx.add(raw) per page
+        results = bx.finish()                 # dict of per-doc outputs
 
-    `add` raises ParseError exactly like the Python parser (empty input /
-    no root); the caller turns that into an error row as before.  Reusable
+    Each doc is parsed in place in the buffer it came in (an Arrow data
+    buffer, or ``chtml.to_utf8_buf``'s output for a page that needed a
+    decode); the batch keeps those arrays alive until ``reset``.  Reusable
     across batches (buffers persist per worker process)."""
 
     def __init__(self, node_cap: int = 1 << 16, piece_cap: int = 1 << 16):
         self._alloc(node_cap, piece_cap, 1 << 14)
-        self._counts = np.zeros(8, dtype=np.int32)
-        self._counts_ptr = self._counts.ctypes.data
+        self._acc = np.zeros(8, dtype=np.int64)
         self.reset()
 
     def _alloc(self, node_cap: int, piece_cap: int, attr_cap: int):
@@ -105,12 +135,10 @@ class BatchExtractor:
         self._pieces = [np.empty(piece_cap, dtype=np.int32) for _ in range(_N_PIECE_ARRS)]
         # attrs accumulate like nodes/pieces (read by finish_links; the
         # kernel writes them either way): an k0 k1 v0 v1 flags
-        self._attrs = [np.empty(attr_cap, dtype=np.int32) for _ in range(6)]
-        self._node_ptrs = [a.ctypes.data for a in self._nodes]
-        self._piece_ptrs = [a.ctypes.data for a in self._pieces]
-        self._attr_ptrs = [a.ctypes.data for a in self._attrs]
-        self._node_table = (ctypes.c_void_p * _N_NODE_ARRS)(*self._node_ptrs)
-        self._piece_table = (ctypes.c_void_p * _N_PIECE_ARRS)(*self._piece_ptrs)
+        self._attrs = [np.empty(attr_cap, dtype=np.int32) for _ in range(_N_ATTR_ARRS)]
+        self._node_table = (ctypes.c_void_p * _N_NODE_ARRS)(*map(_ptr, self._nodes))
+        self._piece_table = (ctypes.c_void_p * _N_PIECE_ARRS)(*map(_ptr, self._pieces))
+        self._attr_table = (ctypes.c_void_p * _N_ATTR_ARRS)(*map(_ptr, self._attrs))
 
     def _grow(self, need_nodes: int, need_pieces: int, need_attrs: int):
         nc, pc, ac = self._node_cap, self._piece_cap, self._attr_cap
@@ -135,57 +163,114 @@ class BatchExtractor:
         self._node_base = 0
         self._piece_base = 0
         self._attr_base = 0
-        self._buf = bytearray()
-        self._docs: list[tuple[int, int, int, int, int, int, int, int]] = []
-        # (node_base, nn, piece_base, npc, buf_base, root, attr_base, na)
+        self._tables: list[np.ndarray] = []  # the doc-table rows of each call
+        self._sources: list[pa.Array] = []  # the arrays those docs point into
         self._fin = None  # finish() stash for finish_links()
 
+    def _parse(self, arr: pa.Array, decoded: bool = False):
+        """One ``chtml_parse_arrow`` call over every row of ``arr`` (grown
+        and resumed at a row that does not fit).  ``decoded``: the rows are
+        ``chtml.to_utf8_buf`` output, parsed as they are.  Returns each
+        row's ``ROW_*`` state and its time in the kernel (ns)."""
+        n = len(arr)
+        state, ns = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int64)
+        if not n:
+            return state, ns
+        docs = np.empty((n, _D_STRIDE), dtype=np.int64)
+        validity, offsets, data = (b if b is None else b.address for b in arr.buffers())
+        acc = self._acc
+        acc[:] = 0
+        acc[2:5] = self._node_base, self._piece_base, self._attr_base
+        # the UTF-8 of a page under the cap is at most three times its size
+        cap = chtml.MAX_PAGE_BYTES * (4 if decoded else 1)
+        while chtml._lib.chtml_parse_arrow(
+            n, arr.offset, validity, offsets, pa.types.is_large_binary(arr.type),
+            data, decoded, cap,
+            self._node_table, self._node_cap, self._piece_table, self._piece_cap,
+            self._attr_table, self._attr_cap, _ptr(docs), _ptr(state), _ptr(ns),
+            _ptr(acc),
+        ):
+            self._node_base, self._piece_base, self._attr_base = acc[2:5].tolist()
+            self._grow(*acc[5:8].tolist())
+        self._node_base, self._piece_base, self._attr_base = acc[2:5].tolist()
+        if acc[1]:
+            self._tables.append(docs[: acc[1]])
+            self._sources.append(arr)
+        return state, ns
+
+    def add_array(self, arr: pa.Array):
+        """Parse every row of a ``binary`` / ``large_binary`` array (sliced
+        or not) into the batch.  One kernel call applies
+        ``chtml.MAX_PAGE_BYTES`` and the checks of ``chtml.to_utf8_buf`` and
+        parses each row in place; the rows it leaves to that decode (a BOM,
+        a legacy charset, invalid UTF-8) are decoded by it and parsed by a
+        second call.
+
+        Returns ``(rows, state, ns)``: the accepted rows in doc (``finish``)
+        order, each row's ``ROW_*`` state and its parse time in ns, decode
+        included."""
+        state, ns = self._parse(arr)
+        rows = np.flatnonzero(state == ROW_OK)
+        redo = np.flatnonzero(state == ROW_DECODE)
+        if not redo.size:
+            return rows, state, ns
+        t0 = perf_counter_ns()
+        decoded = {}
+        for i, raw in zip(redo.tolist(), arr.take(redo).to_pylist()):
+            try:
+                decoded[i] = chtml.to_utf8_buf(raw)[0]
+            except Exception:  # the Python parser meets it again
+                state[i] = ROW_DECLINE
+        ns[redo] += (perf_counter_ns() - t0) // len(redo)
+        again = np.fromiter(decoded, dtype=np.int64, count=len(decoded))
+        state2, ns2 = self._parse(pa.array(list(decoded.values()), pa.large_binary()), True)
+        state[again] = state2
+        ns[again] += ns2
+        return np.concatenate([rows, again[state2 == ROW_OK]]), state, ns
+
     def add(self, data, encoding: str | None = None) -> bool:
-        """Parse one document into the batch buffers.  Returns False when
-        the kernel declines (caller must handle the doc via the Python
-        path); raises ParseError for empty input / no root element."""
-        buf, self.declared = chtml.to_utf8_buf(data, encoding)
-        n = len(buf)
-        lib = chtml._lib
-        if lib is None:
-            if not chtml.available():
-                return False
-            lib = chtml._lib
-        nb, pb, ab = self._node_base, self._piece_base, self._attr_base
-        for _ in range(10):
-            ptrs = (
-                [p + nb * 4 for p in self._node_ptrs]
-                + [self._node_cap - nb]
-                + [p + pb * 4 for p in self._piece_ptrs]
-                + [self._piece_cap - pb]
-                + [p + ab * 4 for p in self._attr_ptrs]
-                + [self._attr_cap - ab]
-                + [self._counts_ptr]
-            )
-            rc = lib.chtml_parse(buf, n, *ptrs)
-            if rc == 0:
-                break
-            # capacity: grow whichever could have overflowed (the kernel
-            # reports only "didn't fit")
-            self._grow(
-                nb + max(n, 64) * 2 + 64,
-                pb + max(n, 64) * 2 + 64,
-                ab + max(n, 64) + 64,
-            )
-        else:
+        """Parse one page into the batch: a one-row kernel call, then (for
+        a page that needs a decode, a forced ``encoding`` or a ``str``) a
+        decoded call over ``chtml.to_utf8_buf``'s output.  Returns False when the kernel
+        declines (the caller must use the Python parser); raises ParseError
+        like the Python parser (empty input, no root element) and like
+        ``chtml.check_page_size``."""
+        if not chtml.available():
             return False
-        c = self._counts
-        if c[4]:
-            return False  # semantic corner: Python parser decides
-        nn, npc, na, root = int(c[0]), int(c[1]), int(c[2]), int(c[3])
-        if root < 0:
+        raw = encoding is None and not isinstance(data, str)
+        st = self._parse(_one_row(data))[0][0] if raw else ROW_DECODE
+        if st == ROW_OK:
+            enc = _sniff_charset(bytes(data[:2048]))
+            self.declared = enc.upper() if enc else "UTF-8"
+        elif st == ROW_DECODE:
+            buf, self.declared = chtml.to_utf8_buf(data, encoding)
+            st = self._parse(_one_row(buf), decoded=True)[0][0]
+        if st == ROW_EMPTY:
+            raise ParseError("parserFailure: empty input")
+        if st == ROW_NO_ROOT:
             raise ParseError("parserFailure: no root element")
-        self._docs.append((nb, nn, pb, npc, len(self._buf), root, ab, na))
-        self._node_base = nb + nn
-        self._piece_base = pb + npc
-        self._attr_base = ab + na
-        self._buf += buf
-        return True
+        if st == ROW_OVER_CAP:
+            chtml.check_page_size(data)
+        return st == ROW_OK
+
+    def doc_table(self) -> np.ndarray:
+        """The doc table (one ``_D_STRIDE`` row per accepted doc, in add
+        order)."""
+        if not self._tables:
+            return np.zeros((0, _D_STRIDE), dtype=np.int64)
+        return np.concatenate(self._tables)
+
+    def doc_arrays(self, d: int) -> tuple:
+        """Doc ``d``'s source bytes, root, and node, piece and attr arrays
+        as lists (ids and byte offsets are the doc's own)."""
+        nb, nn, pb, npc, addr, root, ab, na, n = self.doc_table()[d].tolist()
+        return (
+            ctypes.string_at(addr, n),
+            root,
+            [a[nb : nb + nn].tolist() for a in self._nodes],
+            [a[pb : pb + npc].tolist() for a in self._pieces],
+            [a[ab : ab + na].tolist() for a in self._attrs],
+        )
 
     # ------------------------------------------------------------------
     def finish(self, emit_spans: bool = True) -> dict:
@@ -205,13 +290,11 @@ class BatchExtractor:
         Raises RuntimeError if the kernel arrays break the parser's preorder
         contract (kernel bug — caller redoes the batch in Python).
         """
-        D = len(self._docs)
-        N = self._node_base
-        docs = np.array(self._docs, dtype=np.int64).reshape(D, 8)
+        docs = self.doc_table()
+        D, N = len(docs), self._node_base
         ent_piece, ent_off, ent_buf = self._entities(docs)
-        src = np.frombuffer(self._buf, dtype=np.uint8)
         # every kept piece is copied once, plus one "\n" per kept block
-        bound = len(src) + len(ent_buf)
+        bound = int(docs[:, _D_LEN].sum()) + len(ent_buf)
         text, titles = np.empty(bound + N, np.uint8), np.empty(bound, np.uint8)
         text_off, title_off = np.empty(D + 1, np.int64), np.empty(D + 1, np.int64)
         text_chars, span_counts = np.empty(D, np.int64), np.empty(D, np.int64)
@@ -222,7 +305,7 @@ class BatchExtractor:
         while True:
             paths = np.empty(path_cap, np.uint8)
             rc = chtml._lib.chtml_extract_batch(
-                D, ptr(docs), ptr(src), self._node_table, self._piece_table,
+                D, ptr(docs), self._node_table, self._piece_table,
                 len(ent_piece), ptr(ent_piece), ptr(ent_off), ent_buf,
                 _CLASS_NAMES, len(_CLASS_NAMES), _CLASS_BITS, ptr(_RULE),
                 ptr(cls), ptr(text), len(text), ptr(text_off),
@@ -233,7 +316,6 @@ class BatchExtractor:
             if rc != 1:
                 break
             path_cap = int(need[0])  # deep trees: rerun with room for the paths
-        del src  # release the export of self._buf
         if rc:
             raise RuntimeError("fastextract: kernel arrays break the preorder contract")
         self._fin = (docs, cls)
@@ -272,14 +354,13 @@ class BatchExtractor:
         pf = self._pieces[3][:P]
         ent = np.flatnonzero((pf & (_PF_UNESCAPE | _PF_LT)) == _PF_UNESCAPE)
         doc = np.searchsorted(docs[:, 2], ent, side="right") - 1
-        base = docs[doc, 4]
+        base = docs[doc, _D_BUF]
         memo: dict[bytes, bytes] = {}
         parts = []
-        src = self._buf
         for a, b in zip(
             (self._pieces[1][ent] + base).tolist(), (self._pieces[2][ent] + base).tolist()
         ):
-            seg = bytes(src[a:b])
+            seg = _at(a, b)
             u = memo.get(seg)
             if u is None:
                 u = memo[seg] = unescape(seg.decode("utf-8")).encode("utf-8")
@@ -302,27 +383,25 @@ class BatchExtractor:
         """
         from urllib.parse import urljoin, urlsplit
 
-        docs = self._docs
-        D = len(docs)
+        tab, cls = self._fin
+        D = len(tab)
         counts = np.zeros(D, dtype=np.int64)
         dsts: list[str] = []
         anchors: list[str] = []
         nofollow: list[bool] = []
-        if D == 0 or self._fin is None:
+        if D == 0:
             return counts, dsts, anchors, nofollow
-        tab, cls = self._fin
         # <a> and <base> elements, from the classes finish() wrote
         cand = np.flatnonzero(cls & (_EC_A | _EC_BASE))
         if cand.size == 0:
             return counts, dsts, anchors, nofollow
-        node_bases, buf_bases = tab[:, 0], tab[:, 4]
+        node_bases, buf_bases = tab[:, 0], tab[:, _D_BUF]
         cand_doc = np.searchsorted(node_bases, cand, side="right") - 1
         types = self._nodes[_I_TYPES]
-        bufcat = self._buf
         # piece arrays in batch coordinates
         P = self._piece_base
-        pn = self._pieces[0][:P] + np.repeat(node_bases, tab[:, 3])
-        pbuf = np.repeat(buf_bases, tab[:, 3])
+        pn = self._pieces[0][:P] + np.repeat(node_bases, tab[:, _D_NPC])
+        pbuf = np.repeat(buf_bases, tab[:, _D_NPC])
         p0 = self._pieces[1][:P] + pbuf
         p1 = self._pieces[2][:P] + pbuf
         pf = self._pieces[3][:P]
@@ -330,7 +409,7 @@ class BatchExtractor:
         # attr arrays in batch coordinates (node-ascending per doc, hence
         # globally ascending after the node-base shift)
         A = self._attr_base
-        attr_doc = np.repeat(np.arange(D, dtype=np.int64), tab[:, 7])
+        attr_doc = np.repeat(np.arange(D, dtype=np.int64), tab[:, _D_NA])
         an = self._attrs[0][:A].astype(np.int64) + node_bases[attr_doc]
         ashift = buf_bases[attr_doc]
         k0 = self._attrs[1][:A].astype(np.int64) + ashift
@@ -351,12 +430,12 @@ class BatchExtractor:
             """First attr in [j0,j1) whose (ASCII-lowered) key == key; value
             decoded exactly like the Arena marshalling (None when absent)."""
             for j in range(j0, j1):
-                if bufcat[k0[j] : k1[j]].lower() != key:
+                if _at(int(k0[j]), int(k1[j])).lower() != key:
                     continue
                 fl = int(af[j])
                 if not fl & 1:
                     return ""
-                val = bufcat[v0[j] : v1[j]].decode("utf-8", "replace")
+                val = _at(int(v0[j]), int(v1[j])).decode("utf-8", "replace")
                 return unescape(val) if fl & 2 else val
             return None
 
@@ -370,9 +449,7 @@ class BatchExtractor:
                 if fl & _PF_LT:
                     parts.append("<")
                 else:
-                    seg = bufcat[int(p0[k]) : int(p1[k])].decode(
-                        "utf-8", "replace"
-                    )
+                    seg = _at(int(p0[k]), int(p1[k])).decode("utf-8", "replace")
                     parts.append(unescape(seg) if fl & _PF_UNESCAPE else seg)
             return "".join(parts)
 

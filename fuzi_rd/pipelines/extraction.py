@@ -2,8 +2,9 @@
 
     read_parquet (pruned columns)
       -> ExtractPages in Ray Data tasks, one warm extractor per worker
-         process (zero-copy Arrow; rows of completed partitions dropped
-         first; fused with the write below)
+         process, one call per block (zero-copy Arrow into the C kernel;
+         rows of completed partitions dropped first; fused with the write
+         below)
       -> write_parquet partitioned by url-hash part  (resumable unit)
       -> per-partition lineage manifests + run metrics roll-up
 
@@ -68,7 +69,7 @@ def extract_pages(
 def extract_dataset(
     ds,
     recipe: dict | None = None,
-    batch_size: int = 32,
+    batch_size: int | None = None,
     num_parts: int = DEFAULT_NUM_PARTS,
     skip_parts: set[int] | None = None,
     emit_markdown: bool = False,
@@ -81,7 +82,10 @@ def extract_dataset(
     there is no actor pool to spawn per job or to size, and Ray fuses the
     extraction with the next task stage (in ``run_extraction``, the
     partitioned write), so extracted text never crosses the object store.
-    A page over ``chtml.MAX_PAGE_BYTES`` becomes an error row unparsed."""
+    ``batch_size=None`` hands each task's whole block to one
+    ``ExtractPages`` call, whose kernel passes slice it by
+    ``chtml.KERNEL_PASS_BYTES``.  A page over ``chtml.MAX_PAGE_BYTES``
+    becomes an error row unparsed."""
     config = (
         ("recipe", tuple(sorted((recipe or {}).items()))),
         ("num_parts", num_parts),
@@ -101,7 +105,7 @@ def run_extraction(
     input_path,
     out_dir: str,
     recipe: dict | None = None,
-    batch_size: int = 32,
+    batch_size: int | None = None,
     num_parts: int = DEFAULT_NUM_PARTS,
     resume: bool = True,
     run_id: str = "run",
@@ -149,7 +153,7 @@ def run_extraction(
     # Cap keeps one writer batch's arrow data well inside a worker heap.
     # Extraction fuses into this writer, so the batch is also the input
     # size of one extract+write task.
-    writer_batch = min(max(batch_size * 16, num_parts * 64, 2048), 65536)
+    writer_batch = min(max((batch_size or 0) * 16, num_parts * 64, 2048), 65536)
     sums = {
         "bytes_in": "html_bytes", "bytes_out": "text_len", "parse_us_sum": "parse_us",
     }

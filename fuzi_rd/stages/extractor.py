@@ -10,14 +10,17 @@ warm instance per worker process and constructor config: a worker process
 runs one task at a time, so the process is the execution context.
 
 Two strategies answer a batch: the kernel batch (``fuzi_rd/fastextract.py``)
-takes the rows ``BatchExtractor.add`` accepts, and every other row runs
-through the shared page loop (``stages/products.py``) with this stage's
-products, in order: title, recipes, markdown, metadata, links, then the
-boilerplate kill and density (text, spans, n_nodes, text_len, text_hash).
-The kernel batch is two C calls: the parse of each page, then one pass
-over the whole batch (``chtml_extract_batch``) that writes the title,
-text, span and path buffers the output columns are built from without a
-Python string per row or span.
+takes the rows the C kernel accepts, and every other row runs through the
+shared page loop (``stages/products.py``) with this stage's products, in
+order: title, recipes, markdown, metadata, links, then the boilerplate kill
+and density (text, spans, n_nodes, text_len, text_hash).  The kernel batch
+takes the whole batch (in Ray, the task's whole block) in passes of at most
+``chtml.KERNEL_PASS_BYTES`` of html, each two C calls: one parse over the
+``html`` column's Arrow buffers (plus one over the rows Python decoded),
+then one pass over all of them (``chtml_extract_batch``) that writes the
+title, text, span and path buffers the output columns are built from
+without a Python string per row or span.  A row the kernel declined goes
+to the Python parser directly, so no row is parsed by the kernel twice.
 
 Output schema (per input row, poison-pill tolerant — a failing page becomes
 a ``status='error'`` row whose product columns hold their empty values; it
@@ -49,13 +52,16 @@ from __future__ import annotations
 
 import os
 import zlib
+from time import perf_counter_ns
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from fuzi_rd import chtml
 from fuzi_rd.css import xpath_from_css
 from fuzi_rd.extract import extract_main_content, kill_boilerplate_nodes, _title_of
+from fuzi_rd.fastextract import ROW_OK, BatchExtractor
 from fuzi_rd.stages.links import DEFAULT_MAX_LINKS, LINKS
 from fuzi_rd.stages.markdown import MARKDOWN
 from fuzi_rd.stages.metadata import FUSED_META_FIELDS, METADATA
@@ -155,6 +161,9 @@ class ExtractPages:
         if emit_links:
             self.products.append(LINKS)
         self.products.append(_MAIN_CONTENT)
+        self._columns = (
+            *_CORE_COLUMNS, *(f.name for p in self.products[1:-1] for f in p.fields)
+        )
         # Batched fast path (fuzi_rd/fastextract.py): with no recipes and no
         # fused markdown/metadata (they need the full DOM API), the title,
         # kill, density and text/span assembly run in one C pass over the
@@ -168,8 +177,6 @@ class ExtractPages:
             and not (emit_markdown or emit_metadata)
             and not os.environ.get("FUZI_NO_FASTEXTRACT")
         ):
-            from fuzi_rd.fastextract import BatchExtractor
-
             self._fast = BatchExtractor()
 
     fast_batch_fallbacks = 0  # class-level: observable in tests
@@ -187,68 +194,69 @@ class ExtractPages:
 
     def _call_python(self, batch: pa.Table) -> pa.Table:
         """The shared page loop (``stages/products.py``) over the batch."""
-        got = run_products(batch, self.products)
-        got["part"] = self._parts(got["url"].to_pylist())
-        html_bytes = pc.fill_null(pc.binary_length(batch.column("html")), 0)
-        got["html_bytes"] = pc.cast(html_bytes, pa.int64())
-        extra = [f.name for p in self.products[1:-1] for f in p.fields]
-        return pa.table({name: got[name] for name in (*_CORE_COLUMNS, *extra)})
+        return self._keyed(batch, run_products(batch, self.products))
 
-    def _parts(self, urls: list) -> pa.Array:
-        return pa.array([url_part(u, self.num_parts) for u in urls], pa.int32())
+    def _keyed(self, batch: pa.Table, cols) -> pa.Table:
+        """The output table: ``url``, ``part`` and ``html_bytes`` of every
+        row of ``batch``, and the other columns from ``cols`` (a table or a
+        dict of columns, in input order)."""
+        urls = pc.cast(batch.column("url"), pa.string())
+        parts = [url_part(u, self.num_parts) for u in urls.to_pylist()]
+        html_bytes = pc.fill_null(pc.binary_length(batch.column("html")), 0)
+        keys = {
+            "url": urls,
+            "part": pa.array(parts, pa.int32()),
+            "html_bytes": pc.cast(html_bytes, pa.int64()),
+        }
+        return pa.table(
+            {name: keys[name] if name in keys else cols[name] for name in self._columns}
+        )
 
     def _call_fast(self, batch: pa.Table) -> pa.Table:
-        """The kernel batch path (fuzi_rd/fastextract.py) for the rows
-        ``BatchExtractor.add`` accepts; every other row (a decline, a
-        ``ParseError``, a kernel exception) goes through :meth:`_call_python`,
-        which parses it with ``chtml.parse_page``.  The two tables are merged
-        back into input order, identical to ``_call_python`` over the batch."""
-        from time import perf_counter_ns
+        """The kernel batch path (fuzi_rd/fastextract.py), one kernel pass
+        per ``chtml.KERNEL_PASS_BYTES`` of html: one parse call over the
+        column's Arrow buffers (and one over the rows Python decoded), then
+        one extraction call.  Every row the kernel does not accept (a
+        decline, a ``ParseError``, a page over the cap) goes through the
+        page loop with the Python parser only.  The tables are
+        merged back into input order, identical to ``_call_python`` over
+        the batch."""
+        html = batch.column("html")
+        if not batch.num_rows or html.type not in (pa.binary(), pa.large_binary()):
+            return self._call_python(batch)
+        tables, rows, rest = [], [], []
+        row0 = 0
+        for chunk in html.chunks:
+            for lo, hi in _passes(chunk):
+                got = self._kernel_pass(chunk.slice(lo, hi - lo), row0 + lo, batch)
+                for out, part in zip((tables, rows, rest), got):
+                    out.append(part)
+            row0 += len(chunk)
+        rest = np.concatenate(rest)
+        if rest.size:
+            slow = run_products(batch.take(rest), self.products, kernel=False)
+            tables.append(pa.table({name: slow[name] for name in tables[0].column_names}))
+            rows.append(rest)
+        rows = np.concatenate(rows)
+        merged = pa.concat_tables(tables)
+        if (np.diff(rows) < 0).any():
+            merged = merged.take(np.argsort(rows))
+        return self._keyed(batch, merged)
 
-        import numpy as np
-
-        urls = batch.column("url").to_pylist()
-        htmls = batch.column("html").to_pylist()
+    def _kernel_pass(self, html: pa.Array, row0: int, batch: pa.Table) -> tuple:
+        """The kernel batch over ``html``, rows ``row0...`` of ``batch``:
+        the table of the non-key columns of the rows it answered, those
+        batch rows, and the batch rows it left to the Python parser."""
         bx = self._fast
         bx.reset()
-
-        fast_rows: list[int] = []
-        rest: list[int] = []
-        html_bytes: list[int] = []
-        parse_us: list[int] = []
-        for i, raw in enumerate(htmls):
-            raw = raw or b""
-            t_row = perf_counter_ns()
-            try:
-                chtml.check_page_size(raw)
-                ok = bx.add(raw)
-            except Exception:  # ParseError or a kernel bug: _call_python decides
-                ok = False
-            if ok:
-                fast_rows.append(i)
-                html_bytes.append(len(raw))
-                parse_us.append((perf_counter_ns() - t_row) // 1000)
-            else:
-                rest.append(i)
-
-        fast_urls = [urls[i] for i in fast_rows]
+        rows, state, ns = bx.add_array(html)
         t_fin = perf_counter_ns()
         res = bx.finish()
-        if self.emit_links:
-            links = bx.finish_links(fast_urls, DEFAULT_MAX_LINKS)
-        if fast_rows:
-            # finish() is batched; amortize its wall time over the fast rows
-            # (parse_us is only ever consumed as a per-partition SUM).
-            share = ((perf_counter_ns() - t_fin) // 1000) // len(fast_rows)
-            parse_us = [us + share for us in parse_us]
-
-        n = len(fast_rows)
+        n = len(rows)
         cols = {
-            "url": pa.array(fast_urls, pa.string()),
-            "part": self._parts(fast_urls),
             "title": res["title"],
-            # finish() produced ONE concatenated utf-8 buffer in fast-row
-            # order: the column is built zero-copy
+            # finish() produced ONE concatenated utf-8 buffer in doc order:
+            # the column is built zero-copy
             "extracted_text": pa.Array.from_buffers(
                 pa.large_utf8(),
                 n,
@@ -261,19 +269,33 @@ class ExtractPages:
             ),
             "n_nodes": pa.array(res["n_nodes"], pa.int32()),
             "text_len": pa.array(res["text_chars"], pa.int64()),
-            "html_bytes": pa.array(html_bytes, pa.int64()),
             "text_hash": pa.array(res["text_hash"], pa.uint64()),
-            "parse_us": pa.array(parse_us, pa.int64()),
-            "status": pa.array(["ok"] * n, pa.string()),
-            "error": pa.array([""] * n, pa.string()),
         }
         if self.emit_links:
-            counts, *children = links
+            urls = batch.column("url").take(rows + row0).to_pylist()
+            counts, *children = bx.finish_links(urls, DEFAULT_MAX_LINKS)
             cols["links"] = list_array(LINKS.fields[0].type, counts, children)
-        fast = pa.table(cols)
-        if not rest:
-            return fast
-        slow = self._call_python(batch.take(rest))
-        order = np.argsort(np.array(fast_rows + rest, dtype=np.int64))
-        return pa.concat_tables([fast, slow]).take(order)
+        # the batched extraction's wall time, shared by the rows it answered
+        # (parse_us is only ever consumed as a per-partition SUM)
+        share = (perf_counter_ns() - t_fin) // max(n, 1)
+        cols["parse_us"] = pa.array((ns[rows] + share) // 1000, pa.int64())
+        cols["status"] = pa.repeat(pa.scalar("ok"), n)
+        cols["error"] = pa.repeat(pa.scalar(""), n)
+        names = [name for name in self._columns if name in cols]
+        left = np.flatnonzero(state != ROW_OK) + row0
+        return pa.table({name: cols[name] for name in names}), rows + row0, left
 
+
+def _passes(html: pa.Array):
+    """``(start, stop)`` row ranges of ``html`` that each hold at most
+    ``chtml.KERNEL_PASS_BYTES`` of it; a larger page is a range of its own."""
+    if not len(html):
+        return
+    width = np.int64 if pa.types.is_large_binary(html.type) else np.int32
+    offsets = np.frombuffer(html.buffers()[1], width)[html.offset :][: len(html) + 1]
+    lo = 0
+    while lo < len(html):
+        end = np.searchsorted(offsets, offsets[lo] + chtml.KERNEL_PASS_BYTES, "right")
+        hi = max(int(end) - 1, lo + 1)
+        yield lo, hi
+        lo = hi

@@ -52,8 +52,10 @@ def list_array(type: pa.ListType, counts, columns) -> pa.ListArray:
     )
 
 
-def run_products(batch: pa.Table, products) -> dict[str, pa.Array]:
-    """Run ``products`` over every ``(url, html)`` row of ``batch``.
+def run_products(batch: pa.Table, products, kernel: bool = True) -> dict[str, pa.Array]:
+    """Run ``products`` over every ``(url, html)`` row of ``batch``
+    (``kernel=False``: parse with the Python parser only, see
+    ``chtml.parse_page``).
 
     Returns ``url`` (as ``string``), every product field by name, then
     ``status`` ('ok' | 'error'), ``error`` (the exception's class and
@@ -66,7 +68,7 @@ def run_products(batch: pa.Table, products) -> dict[str, pa.Array]:
     for url, raw in zip(urls, batch.column("html").to_pylist()):
         t_row = perf_counter_ns()
         try:
-            arena = parse_page(raw or b"")
+            arena = parse_page(raw or b"", kernel)
             row = []
             for fn in fns:
                 row += fn(arena, url)

@@ -15,6 +15,7 @@ this suite only pins the fast execution strategy to the spec.
 import pathlib
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from fuzi_rd import chtml
@@ -361,3 +362,141 @@ def test_emit_links_mixed_batch_identical():
             mixed.append(b"")  # ParseError -> error row, empty links
     _assert_identical(_table(mixed), "links-mixed", emit_links=True)
     _assert_identical(_table(NO_FAST_ROWS), "links-no-fast", emit_links=True)
+
+
+# ---------------------------------------------------------------------------
+# the kernel batch reads the html column's Arrow buffers: every layout and
+# every decode corner must give _call_python's columns
+# ---------------------------------------------------------------------------
+
+_BODY = b"<p>" + b"words and more words " * 8 + b"</p>"
+CHARSET_PAGES = [
+    b"<html><body>" + _BODY + b"</body></html>",  # ASCII, no declaration
+    b'<meta charset="utf-8"><p>caf\xc3\xa9 \xe2\x9c\x93 </p>' + _BODY,
+    b"<meta charset=ascii>" + _BODY,
+    b'<meta charset="UTF_8"><p>\xe4\xb8\xad\xe6\x96\x87</p>' + _BODY,
+    b"<meta charset=windows-1252><p>caf\xe9 \x93q\x94</p>" + _BODY,
+    b"<meta charset=ascii><p>caf\xc3\xa9</p>" + _BODY,  # ascii declared, not ASCII
+    b"\xef\xbb\xbf<p>bom caf\xc3\xa9</p>" + _BODY,  # UTF-8 BOM
+    "﻿<p>utf-16 café</p>".encode("utf-16-le") + _BODY.decode().encode("utf-16-le"),
+    b"<p>invalid \xff\xfe utf-8 \xc3</p>" + _BODY,  # no declaration
+    b"<p>caf\xc3\xa9 valid utf-8, no declaration</p>" + _BODY,
+]
+
+
+def test_charset_rule_matches_to_utf8_buf():
+    """The kernel takes a page as it is exactly when ``to_utf8_buf``'s
+    fast paths would return its own bytes; it leaves every other page to
+    that decode and then parses the decoded bytes."""
+    from fuzi_rd.fastextract import ROW_DECODE, ROW_OK, BatchExtractor
+
+    bx = BatchExtractor()
+    state, _ = bx._parse(pa.array(CHARSET_PAGES, pa.binary()))
+    assert state.tolist() == [ROW_OK] * 4 + [ROW_DECODE] * 5 + [ROW_OK]
+    for page, st in zip(CHARSET_PAGES, state.tolist()):
+        if st == ROW_OK:
+            assert chtml.to_utf8_buf(page)[0] == page
+    bx.reset()
+    rows, state, _ = bx.add_array(pa.array(CHARSET_PAGES, pa.binary()))
+    assert sorted(rows.tolist()) == list(range(len(CHARSET_PAGES)))
+    assert set(state.tolist()) == {ROW_OK}
+
+
+def test_charset_and_bom_pages_identical():
+    _assert_identical(_table(CHARSET_PAGES), "charsets")
+    for i, page in enumerate(CHARSET_PAGES):
+        _assert_identical(_table([page]), f"charsets[{i}]")
+    mixed = pa.table({"url": [f"m{i}" for i in range(30)], "html": pa.array(
+        [CHARSET_PAGES[i % len(CHARSET_PAGES)] for i in range(30)], pa.binary())})
+    _assert_identical(mixed, "charsets-mixed")
+    _assert_identical(mixed, "charsets-mixed-links", emit_links=True)
+
+
+def _corner_table(kind):
+    from fuzi_rd.sources.pages import pages_table
+
+    good = pages_table(12, start=300).column("html").to_pylist()
+    html = good[:4] + [None, b""] + good[4:8] + [b"&nbsp;&nbsp;", None] + good[8:]
+    urls = [f"https://c.test/{i}" for i in range(len(html))]
+    return pa.table({"url": urls, "html": pa.array(html, kind)})
+
+
+@pytest.mark.parametrize("kind", [pa.binary(), pa.large_binary()])
+def test_arrow_layouts_identical(kind):
+    """binary and large_binary, null and empty rows, a sliced table and a
+    column of several chunks."""
+    tbl = _corner_table(kind)
+    _assert_identical(tbl, f"{kind}")
+    _assert_identical(tbl.slice(3, 9), f"{kind}-sliced")
+    _assert_identical(tbl.slice(5), f"{kind}-sliced-tail")
+    chunked = pa.concat_tables([tbl.slice(0, 5), tbl.slice(5, 1), tbl.slice(6)])
+    assert chunked.column("html").num_chunks == 3
+    _assert_identical(chunked, f"{kind}-chunks")
+    _assert_identical(chunked, f"{kind}-chunks-links", emit_links=True)
+
+
+def test_over_cap_rows_identical(monkeypatch):
+    """A page over ``chtml.MAX_PAGE_BYTES`` is an error row on both paths
+    (the cap is lowered so the test stays small)."""
+    tbl = _corner_table(pa.binary())
+    monkeypatch.setattr(chtml, "MAX_PAGE_BYTES", 3000)
+    sizes = pc.binary_length(tbl.column("html")).to_pylist()
+    assert any(s and s > 3000 for s in sizes) and any(s and s <= 3000 for s in sizes)
+    out = ExtractPages()(tbl)
+    assert out.column("status").to_pylist().count("error") > 2
+    _assert_identical(tbl, "over-cap")
+
+
+def test_kernel_passes_split_a_large_block(monkeypatch):
+    """A block over ``chtml.KERNEL_PASS_BYTES`` runs as several kernel
+    passes (a page larger than the bound is a pass of its own) and gives
+    the same output as one pass."""
+    from fuzi_rd.fastextract import BatchExtractor
+    from fuzi_rd.sources.pages import skew_pages_table
+
+    tbl = skew_pages_table(60, start=0, huge_every=20)  # three pages of MBs
+    one = ExtractPages()(tbl)
+    finish, calls = BatchExtractor.finish, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return finish(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchExtractor, "finish", counted)
+    monkeypatch.setattr(chtml, "KERNEL_PASS_BYTES", 20_000)
+    several = ExtractPages()(tbl)
+    assert len(calls) > 5
+    assert several.drop_columns(["parse_us"]).equals(one.drop_columns(["parse_us"]))
+    _assert_identical(tbl, "passes")
+    _assert_identical(tbl, "passes-links", emit_links=True)
+
+
+def test_declined_row_costs_one_kernel_attempt(monkeypatch):
+    """A row the kernel declines goes to the Python parser without a
+    second kernel attempt: the kernel sees every row once."""
+    from fuzi_rd.fastextract import BatchExtractor
+    from fuzi_rd.sources.pages import pages_table
+
+    good = pages_table(10, start=500).column("html").to_pylist()
+    nbsp = [b"&nbsp;&nbsp;", b"&nbsp;&nbsp;<p>" + b"text " * 40 + b"</p>"]
+    html = [h for i, g in enumerate(good) for h in (g, nbsp[i % 2])]
+    tbl = _table(html)
+    parse, rows, pages = BatchExtractor._parse, [], []
+
+    def counted_parse(self, arr, decoded=False):
+        rows.append(len(arr))
+        return parse(self, arr, decoded)
+
+    def counted_page(*args, **kwargs):
+        pages.append(1)
+        return None  # a decline
+
+    monkeypatch.setattr(BatchExtractor, "_parse", counted_parse)
+    monkeypatch.setattr(chtml, "parse_html_bytes_fast", counted_page)
+    out = ExtractPages()(tbl)
+    assert sum(rows) == len(html)
+    assert pages == []
+    # a bare "&nbsp;&nbsp;" has no root element; the other declines parse
+    assert out.column("status").to_pylist() == ["ok", "error", "ok", "ok"] * 5
+    monkeypatch.undo()
+    _assert_same_as_python(out, tbl, "declines")

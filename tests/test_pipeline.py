@@ -320,6 +320,78 @@ def test_one_cpu_session_does_not_hang(tmp_path, stage):
         assert sum(m["rows"] for m in mf.read_manifests(str(out))) == 2000
 
 
+_CLUSTER_JOB = """
+import os
+import subprocess
+import sys
+
+import ray
+from ray._private.state import jobs
+from ray.cluster_utils import Cluster
+
+pages, out = sys.argv[1:]
+cluster = Cluster(
+    initialize_head=True, head_node_args={"num_cpus": 1, "include_dashboard": False}
+)
+try:
+    cluster.add_node(num_cpus=1)
+    cluster.wait_for_nodes()
+    # what ray job submit gives its entrypoint: RAY_ADDRESS, no session
+    env = dict(os.environ, RAY_ADDRESS=cluster.address)
+    job = subprocess.Popen(
+        [sys.executable, "-m", "fuzi_rd", "--input", pages, "--out", out,
+         "--num-parts", "16", "--run-id", "cluster"],
+        env=env,
+    )
+    job.wait(timeout=240)
+    ray.init(address=cluster.address)
+    drivers = [j["DriverPid"] for j in jobs()]
+    print("cli_exit", job.returncode, "on_cluster", job.pid in drivers, flush=True)
+    ray.shutdown()
+finally:
+    cluster.shutdown()
+"""
+
+
+def test_cli_runs_on_the_cluster_ray_address_names(tmp_path):
+    """``python -m fuzi_rd`` with ``RAY_ADDRESS`` set (as ``ray job submit``
+    sets it) runs its job on that cluster, here a 2-node
+    ``ray.cluster_utils.Cluster``: its driver is one of the cluster's
+    jobs, not a private one-node session's."""
+    import os
+    import pathlib
+    import re
+    import signal
+    import subprocess
+    import sys
+
+    root = str(pathlib.Path(__file__).resolve().parents[1])
+    pages, out = tmp_path / "pages", tmp_path / "out"
+    write_pages_parquet(str(pages), 400, rows_per_file=200)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    with open(tmp_path / "child.log", "w+") as log:
+        child = subprocess.Popen(
+            [sys.executable, "-c", _CLUSTER_JOB, str(pages), str(out)],
+            cwd=root, env=env, stdout=log, stderr=subprocess.STDOUT,
+            start_new_session=True,
+        )
+        try:
+            child.wait(timeout=300)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+            pytest.fail("the 2-node cluster job ran past 300 s")
+        log.seek(0)
+        output = log.read()
+    assert child.returncode == 0, output[-2000:]
+    got = re.search(r"cli_exit (-?\d+) on_cluster (\w+)", output)
+    assert got, output[-2000:]
+    assert got.group(1) == "0", output[-2000:]
+    assert got.group(2) == "True", "the job did not run on the RAY_ADDRESS cluster"
+    assert sum(m["rows"] for m in mf.read_manifests(str(out))) == 400
+
+
 def test_page_generator_frozen():
     """The bench page tables are cached on disk keyed only by row count —
     if generator output ever drifts, those caches go silently stale.  This
