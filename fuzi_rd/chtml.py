@@ -149,15 +149,13 @@ def _batch_self_check() -> bool:
     """Each probe page parses as the Python parser does, and
     ``chtml_parse_arrow`` over them as a sliced array gives each page the
     arrays of its one-page parse."""
-    import pyarrow as pa
-
-    from fuzi_rd.fastextract import BatchExtractor
+    from fuzi_rd.fastextract import BatchExtractor, large_binary
 
     for page in _BATCH_PROBE:
         fast = parse_html_bytes_fast(page)
         if fast is None or not _arena_equal(fast, parse_html_bytes(page, track_lines=False)):
             return False
-    arr = pa.array([b"<p>x</p>", *_BATCH_PROBE], pa.large_binary()).slice(1)
+    arr = large_binary([b"<p>x</p>", *_BATCH_PROBE]).slice(1)
     batch, one = BatchExtractor(64, 64), BatchExtractor(64, 64)
     rows = batch.add_array(arr)[0].tolist()
     if sorted(rows) != list(range(len(_BATCH_PROBE))):

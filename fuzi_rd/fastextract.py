@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import ctypes
 import zlib
+from itertools import accumulate
 from html import unescape
 from time import perf_counter_ns
 
@@ -101,12 +102,15 @@ def _at(a: int, b: int) -> bytes:
     return ctypes.string_at(a, b - a)
 
 
-def _one_row(data) -> pa.Array:
-    """``data`` (bytes-like or None) as a one-row ``binary`` array, zero-copy."""
-    if data is None:
-        return pa.nulls(1, pa.binary())
-    offsets = pa.py_buffer(np.array([0, len(data)], dtype=np.int32))
-    return pa.Array.from_buffers(pa.binary(), 1, [None, offsets, pa.py_buffer(data)])
+def large_binary(pages) -> pa.Array:
+    """``pages`` (bytes-like) as a ``large_binary`` array built from its
+    buffers (one page is not copied).  ``pa.array`` over a list would
+    import pandas, ~0.3 s of a fresh process's kernel self-check."""
+    offsets = np.array([0, *accumulate(map(len, pages))], dtype=np.int64)
+    data = pages[0] if len(pages) == 1 else b"".join(pages)
+    return pa.Array.from_buffers(
+        pa.large_binary(), len(pages), [None, pa.py_buffer(offsets), pa.py_buffer(data)]
+    )
 
 
 class BatchExtractor:
@@ -125,6 +129,7 @@ class BatchExtractor:
     def __init__(self, node_cap: int = 1 << 16, piece_cap: int = 1 << 16):
         self._alloc(node_cap, piece_cap, 1 << 14)
         self._acc = np.zeros(8, dtype=np.int64)
+        self._acc_ptr = _ptr(self._acc)
         self.reset()
 
     def _alloc(self, node_cap: int, piece_cap: int, attr_cap: int):
@@ -172,6 +177,9 @@ class BatchExtractor:
         and resumed at a row that does not fit).  ``decoded``: the rows are
         ``chtml.to_utf8_buf`` output, parsed as they are.  Returns each
         row's ``ROW_*`` state and its time in the kernel (ns)."""
+        large = pa.types.is_large_binary(arr.type)
+        if not (large or pa.types.is_binary(arr.type)):
+            raise TypeError(f"the kernel reads binary or large_binary arrays, not {arr.type}")
         n = len(arr)
         state, ns = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int64)
         if not n:
@@ -179,16 +187,14 @@ class BatchExtractor:
         docs = np.empty((n, _D_STRIDE), dtype=np.int64)
         validity, offsets, data = (b if b is None else b.address for b in arr.buffers())
         acc = self._acc
-        acc[:] = 0
-        acc[2:5] = self._node_base, self._piece_base, self._attr_base
-        # the UTF-8 of a page under the cap is at most three times its size
+        acc[:5] = 0, 0, self._node_base, self._piece_base, self._attr_base
+        # the UTF-8 of a page under the cap is under four times its size
         cap = chtml.MAX_PAGE_BYTES * (4 if decoded else 1)
         while chtml._lib.chtml_parse_arrow(
-            n, arr.offset, validity, offsets, pa.types.is_large_binary(arr.type),
-            data, decoded, cap,
+            n, arr.offset, validity, offsets, large, data, decoded, cap,
             self._node_table, self._node_cap, self._piece_table, self._piece_cap,
             self._attr_table, self._attr_cap, _ptr(docs), _ptr(state), _ptr(ns),
-            _ptr(acc),
+            self._acc_ptr,
         ):
             self._node_base, self._piece_base, self._attr_base = acc[2:5].tolist()
             self._grow(*acc[5:8].tolist())
@@ -216,14 +222,14 @@ class BatchExtractor:
             return rows, state, ns
         t0 = perf_counter_ns()
         decoded = {}
-        for i, raw in zip(redo.tolist(), arr.take(redo).to_pylist()):
+        for i in redo.tolist():
             try:
-                decoded[i] = chtml.to_utf8_buf(raw)[0]
+                decoded[i] = chtml.to_utf8_buf(arr[i].as_py())[0]
             except Exception:  # the Python parser meets it again
                 state[i] = ROW_DECLINE
         ns[redo] += (perf_counter_ns() - t0) // len(redo)
         again = np.fromiter(decoded, dtype=np.int64, count=len(decoded))
-        state2, ns2 = self._parse(pa.array(list(decoded.values()), pa.large_binary()), True)
+        state2, ns2 = self._parse(large_binary(list(decoded.values())), True)
         state[again] = state2
         ns[again] += ns2
         return np.concatenate([rows, again[state2 == ROW_OK]]), state, ns
@@ -238,13 +244,13 @@ class BatchExtractor:
         if not chtml.available():
             return False
         raw = encoding is None and not isinstance(data, str)
-        st = self._parse(_one_row(data))[0][0] if raw else ROW_DECODE
+        st = int(self._parse(large_binary([data or b""]))[0][0]) if raw else ROW_DECODE
         if st == ROW_OK:
             enc = _sniff_charset(bytes(data[:2048]))
             self.declared = enc.upper() if enc else "UTF-8"
         elif st == ROW_DECODE:
             buf, self.declared = chtml.to_utf8_buf(data, encoding)
-            st = self._parse(_one_row(buf), decoded=True)[0][0]
+            st = int(self._parse(large_binary([buf]), decoded=True)[0][0])
         if st == ROW_EMPTY:
             raise ParseError("parserFailure: empty input")
         if st == ROW_NO_ROOT:

@@ -500,3 +500,45 @@ def test_declined_row_costs_one_kernel_attempt(monkeypatch):
     assert out.column("status").to_pylist() == ["ok", "error", "ok", "ok"] * 5
     monkeypatch.undo()
     _assert_same_as_python(out, tbl, "declines")
+
+
+def test_one_page_add_answers_a_python_bool():
+    """``BatchExtractor.add`` returns ``True`` or ``False`` themselves
+    (callers test ``ok is True``), never a numpy bool."""
+    from fuzi_rd.fastextract import BatchExtractor
+
+    bx = BatchExtractor()
+    assert bx.add(b"<html><body>" + _BODY + b"</body></html>") is True
+    assert bx.add(b"&nbsp;&nbsp;<p>" + b"text " * 40 + b"</p>") is False
+    assert bx.add(CHARSET_PAGES[4]) is True  # windows-1252: decoded, then parsed
+
+
+def test_kernel_self_check_imports_no_pandas():
+    """``chtml.available()`` in a fresh process (its Arrow probe included)
+    leaves pandas unimported: ``pa.array`` over a Python list, or a
+    ``take`` by a numpy index, would import it, ~0.3 s of the check."""
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = (
+        "import sys; from fuzi_rd import chtml; ok = chtml.available(); "
+        "print(ok, 'pandas' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.split() == ["True", "False"], out.stdout + out.stderr
+
+
+@pytest.mark.parametrize("kind", [pa.string(), pa.large_string()])
+def test_add_array_refuses_other_layouts(kind):
+    """The kernel reads an array's buffers as ``binary`` or
+    ``large_binary`` ones: any other type is refused before a pointer
+    reaches C (``large_string`` offsets read as int32 would run past the
+    data)."""
+    from fuzi_rd.fastextract import BatchExtractor
+
+    with pytest.raises(TypeError):
+        BatchExtractor().add_array(pa.array(["<p>x</p>"], kind))
