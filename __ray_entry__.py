@@ -1303,6 +1303,12 @@ def _q_minhash_keep(sf_dir: str):
     return minhash_keep(ds, threshold=0.8)
 
 
+def _lsh_index_dir(sf_dir: str) -> str:
+    """Where ``lsh_serving_lookup`` keeps its index of a tier's documents
+    (v2 layout: ``_DONE`` records the build's parameters)."""
+    return f"/tmp/fuzi_rd_lsh_idx_v2_{pathlib.Path(sf_dir).name or 'sf'}"
+
+
 def _q_lsh_serving_lookup(sf_dir: str):
     """MinHash-LSH SERVING path: the corpus is signed once into a
     persisted two-artifact index (band rows hive-partitioned by
@@ -1314,16 +1320,12 @@ def _q_lsh_serving_lookup(sf_dir: str):
     itself at n_agree=64 plus any true near-dups.  Rows-only (minhash
     permutations are not SQL-expressible); the exact-set brute-force
     twin is pinned in tests/test_lsh_index.py."""
-    import pathlib
-
     import pyarrow.compute as pc
 
     from fuzi_rd.functions.lsh_index import build_lsh_index, lsh_lookup
 
-    tier = pathlib.Path(sf_dir).name or "sf"
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    # v2 layout: _DONE records the build's n_buckets
-    idx = build_lsh_index(ds, f"/tmp/fuzi_rd_lsh_idx_v2_{tier}")
+    idx = build_lsh_index(ds, _lsh_index_dir(sf_dir))
 
     def _queries(b):
         ids = b.column("doc_id")
@@ -1811,9 +1813,9 @@ def _q_sitemap_ingest(sf_dir: str):
 
 def _q_frontier_urls(sf_dir: str):
     """Composed crawl-frontier builder: sitemap locs (discovery) minus
-    already-crawled urls (every 3rd page, deterministic) via one native
-    left_anti hash join on url-only fixed-width rows — the seeding step
-    before fetch.  Rows-only (pipeline composition)."""
+    already-crawled urls (every 3rd page, deterministic) via one
+    ``anti_join`` on url-only rows — the seeding step before fetch.
+    Rows-only (pipeline composition)."""
     import pathlib
 
     import pyarrow as pa
@@ -1852,12 +1854,9 @@ def _q_frontier_urls(sf_dir: str):
         ray.data.read_parquet(pages, columns=["url"])
         .map_batches(_crawled, batch_format="pyarrow")
     )
-    from fuzi_rd.functions.dedup import _compact, hash_join
+    from fuzi_rd.functions.dedup import _compact, anti_join
 
-    frontier = hash_join(
-        _compact(discovered), _compact(crawled), "left_anti", 8, ("url",)
-    )
-    return frontier
+    return anti_join(_compact(discovered), _compact(crawled), "url", 8)
 
 
 def _q_embedding_outliers(sf_dir: str):

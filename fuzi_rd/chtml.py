@@ -120,25 +120,21 @@ def available() -> bool:
     _tried = True
     try:
         _lib = _build_and_load()
-        # import-time self-check: a tag-soup page must parse identically to
-        # the Python parser, or the kernel is disabled for this process
-        probe = (
-            b"<html><head><title>T &amp; t</title><META X=1></head>"
-            b"<body><p>a<p>b<ul><li>1<li>2</ul>"
-            b"<script>if (a < b) { x(); }</script><!-- c --></body></html>"
-        )
-        fast = parse_html_bytes_fast(probe, None)
-        ref = parse_html_bytes(probe, track_lines=False)
-        if fast is None or not _arena_equal(fast, ref) or not _batch_self_check():
+        # import-time self-check, or the kernel is disabled for this process
+        if not _batch_self_check():
             _lib = None
     except Exception:
         _lib = None
     return _lib is not None
 
 
-# the batch entry's self-check pages: ASCII, declared UTF-8 with non-ASCII
-# text, and a legacy charset (decoded in Python, then parsed decoded)
+# the kernel's self-check pages: tag soup, ASCII, declared UTF-8 with
+# non-ASCII text, and a legacy charset (decoded in Python, then parsed
+# decoded)
 _BATCH_PROBE = (
+    b"<html><head><title>T &amp; t</title><META X=1></head>"
+    b"<body><p>a<p>b<ul><li>1<li>2</ul>"
+    b"<script>if (a < b) { x(); }</script><!-- c --></body></html>",
     b"<p>plain <b>ascii</b></p>",
     '<meta charset="UTF-8"><p>caf\u00e9 \u2713</p>'.encode(),
     '<meta charset=windows-1252><p>caf\u00e9</p>'.encode("cp1252"),

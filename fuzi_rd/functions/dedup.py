@@ -60,6 +60,23 @@ def exact_dedup(ds):
     return hashed.groupby("text_hash").min("doc_id")
 
 
+def min_per_key(ds, key: str, value: str, value_type: pa.DataType):
+    """The keep rule of every keep-by-key filter: per ``key``, the minimum
+    ``value`` wins.  Returns the winners as a one-column (``value``)
+    Dataset, the key side of a ``semi_join``.  Ray's aggregate emits
+    schema-less empty blocks for empty hash partitions; they become empty
+    tables typed ``value_type``, so no partition of the join misses the
+    key column."""
+    agg = f"min({value})"
+
+    def _winners(b: pa.Table) -> pa.Table:
+        if agg not in b.column_names:
+            return pa.schema([(value, value_type)]).empty_table()
+        return pa.table({value: b.column(agg)})
+
+    return ds.groupby(key).min(value).map_batches(_winners, batch_format="pyarrow")
+
+
 def _semi_join_partitions(num_partitions: int | None) -> int:
     """Default hash-join partition count: one per CPU (each partition's two
     sides must fit in an aggregator's heap, so at real scale pass an
@@ -400,11 +417,8 @@ def exact_dedup_keep(ds, num_partitions: int | None = None):
     semi-joins back against the documents (hash-partitioned on doc_id).
     Document text crosses the exchange exactly once, inside the join's
     partition shuffle; nothing is ever collected to the driver."""
-
-    def _ids_only(batch: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": batch.column("min(doc_id)")})
-
-    keep_ids = exact_dedup(ds).map_batches(_ids_only, batch_format="pyarrow")
+    hashed = ds.map_batches(_md5_batch, batch_format="pyarrow")
+    keep_ids = min_per_key(hashed, "text_hash", "doc_id", pa.int64())
     return semi_join(ds, keep_ids, "doc_id", num_partitions)
 
 
@@ -464,14 +478,11 @@ def paragraph_dedup_keep(ds, sep: str = "\n\n", num_partitions: int | None = Non
         )
 
     P = _semi_join_partitions(num_partitions)
-    winners = _compact(
-        ds.map_batches(_keys, batch_format="pyarrow")
-        .groupby("para_hash")
-        .min("packed")
-    )
+    keys = ds.map_batches(_keys, batch_format="pyarrow")
+    winners = _compact(min_per_key(keys, "para_hash", "packed", pa.int64()))
 
     def _unpack(batch: pa.Table) -> pa.Table:
-        keys = batch.column("min(packed)").to_numpy(zero_copy_only=False)
+        keys = batch.column("packed").to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "doc_id": pa.array(keys >> _PARA_SHIFT, pa.int64()),
@@ -661,25 +672,41 @@ def minhash_signature(shingles: np.ndarray) -> np.ndarray:
     return vals.min(axis=1).astype(np.uint64)
 
 
+def text_signature(text: str | None) -> np.ndarray | None:
+    """The MinHash signature of one document's text, or None when the text
+    is empty or whitespace.
+
+    Skew guard: every empty/whitespace doc would share one padded-shingle
+    signature, so a single LSH bucket would hold all of them and the
+    per-bucket pair enumeration would go quadratic on a real crawl (exact
+    dedup is the right operator for empty docs — they are byte-identical)."""
+    if not (text or "").split():
+        return None
+    return minhash_signature(char_shingles(text))
+
+
+def band_hashes(sig: np.ndarray) -> list[str]:
+    """The ``N_BANDS`` LSH band hashes of one signature: blake2b-64 hex of
+    each ``BAND_SIZE``-row band.  The batch dedup and the serving index
+    both bucket by these, so they agree on what 'same bucket' means."""
+    return [
+        hashlib.blake2b(band.tobytes(), digest_size=8).hexdigest()
+        for band in sig.reshape(N_BANDS, BAND_SIZE)
+    ]
+
+
 def _minhash_batch(batch: pa.Table) -> pa.Table:
     """Emit one row per (doc, band): (band, band_hash, doc_id).  The
     follow-up groupby on (band, band_hash) is the LSH bucket shuffle.
-
-    Skew guard: documents whose normalized text is EMPTY emit no band rows
-    at all.  Every empty/whitespace doc otherwise shares one padded-shingle
-    signature, so a single bucket would hold all of them and the per-bucket
-    pair enumeration would go quadratic on a real crawl (exact dedup is the
-    right operator for empty docs — they are byte-identical)."""
-    doc_ids = batch.column("doc_id").to_pylist()
-    texts = batch.column("text").to_pylist()
+    Documents without a signature (``text_signature``) emit no rows."""
     out_doc, out_band, out_hash = [], [], []
-    for doc_id, text in zip(doc_ids, texts):
-        if not (text or "").split():
+    for doc_id, text in zip(
+        batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
+    ):
+        sig = text_signature(text)
+        if sig is None:
             continue
-        sig = minhash_signature(char_shingles(text))
-        for b in range(N_BANDS):
-            chunk = sig[b * BAND_SIZE : (b + 1) * BAND_SIZE]
-            h = hashlib.blake2b(chunk.tobytes(), digest_size=8).hexdigest()
+        for b, h in enumerate(band_hashes(sig)):
             out_doc.append(doc_id)
             out_band.append(b)
             out_hash.append(h)
@@ -1080,44 +1107,20 @@ def minhash_keep(
 
     Scale shape: the loser set (doc_id != label) is tiny relative to the
     corpus only when duplication is low, so it is NOT broadcast — the drop
-    filter is a hash-partitioned LEFT OUTER join on int64 doc ids (the
-    anti-join Ray Data lacks), mirroring ``exact_dedup_keep``'s semi-join.
-    Document text crosses the exchange exactly once; nothing is collected
-    to the driver."""
-    import pyarrow.compute as pc
-
+    filter is a hash-partitioned ``anti_join`` on int64 doc ids, mirroring
+    ``exact_dedup_keep``'s semi-join.  Document text crosses the exchange
+    exactly once; nothing is collected to the driver."""
     labels = minhash_dedup(ds, threshold, num_partitions, max_bucket_size, n_hubs)
 
     def _losers(batch: pa.Table) -> pa.Table:
-        drop = batch.filter(
-            pc.not_equal(batch.column("doc_id"), batch.column("label"))
-        )
-        return pa.table(
-            {
-                "doc_id": drop.column("doc_id"),
-                "_drop": pa.array([1] * len(drop), pa.int8()),
-            }
-        )
+        ids = batch.column("doc_id")
+        losers = ids.filter(pc.not_equal(ids, batch.column("label")))
+        return pa.table({"doc_id": losers})
 
     drop_ids = _compact(labels.map_batches(_losers, batch_format="pyarrow"))
     if drop_ids.count() == 0:
         return ds
-    joined = hash_join(
-        ds,
-        drop_ids,
-        "left_outer",
-        _semi_join_partitions(num_partitions),
-        ("doc_id",),
-    )
-
-    def _keep(batch: pa.Table) -> pa.Table:
-        if "_drop" not in batch.column_names:
-            return batch  # schema-less empty block from an empty partition
-        return batch.filter(pc.is_null(batch.column("_drop"))).drop_columns(
-            ["_drop"]
-        )
-
-    return joined.map_batches(_keep, batch_format="pyarrow")
+    return anti_join(ds, drop_ids, "doc_id", num_partitions)
 
 
 # -- n-gram Jaccard ----------------------------------------------------------

@@ -10,8 +10,8 @@ artifact: the signatures are computed ONCE and persisted, and a lookup
 reads only the band buckets the query hashes into.
 
 Two parquet artifacts under ``out_dir`` (both hive-partitioned for read
-pruning, the same layout discipline as the postings index,
-postings.py:1-24):
+pruning, the same layout discipline as the postings index; see the
+``postings`` module docstring):
 
   ``bands/bucket=K/``  — (band:int32, band_hash:string, doc_id:int64);
                          bucket = first-8-hex of band_hash % n_buckets,
@@ -34,14 +34,17 @@ Scale shape (100 TB):
      read by every read task (never re-shipped per batch);
   4. driver state is bounded by hard-fail caps (``max_queries``,
      ``max_candidates``), the same contract as `line_scrub`'s broadcast
-     cap (dedup.py:483) — a serving lookup with a million-doc query set
-     is a batch job and should run `minhash_dedup` instead.
+     cap (``dedup.DEFAULT_MAX_BOILERPLATE_LINES``) — a serving lookup
+     with a million-doc query set is a batch job and should run
+     `minhash_dedup` instead.
 
 Crash-safe build: temp-dir + rename + ``_DONE`` marker, identical to
-`build_postings` (postings.py:120-165) — a run that dies mid-write never
-leaves partial bucket files behind.  ``_DONE`` is JSON holding the build's
+``postings.build_postings`` — a run that dies mid-write never leaves
+partial bucket files behind.  ``_DONE`` is JSON holding the build's
 ``n_buckets``, which ``lsh_lookup`` reads, so a lookup always probes the
-directories the build wrote.  A corpus with no non-empty text builds a
+directories the build wrote, and the signing parameters ``n_perm`` and
+``band_size``: a build over an index signed with other values rebuilds
+it, and a lookup on one raises.  A corpus with no non-empty text builds a
 valid empty index.
 
 Similarity is reported EXACTLY as integers so tests and twins can pin it:
@@ -53,7 +56,6 @@ E[agree/N_PERM] = Jaccard.  The threshold keeps pairs with
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pathlib
 
@@ -61,29 +63,19 @@ import numpy as np
 import pyarrow as pa
 
 from fuzi_rd.broadcast import resolve
-from fuzi_rd.functions.dedup import (
-    BAND_SIZE,
-    N_BANDS,
-    N_PERM,
-    char_shingles,
-    minhash_signature,
-)
+from fuzi_rd.functions.dedup import BAND_SIZE, N_PERM, band_hashes, text_signature
 
 DEFAULT_N_BUCKETS = 64
 DEFAULT_MAX_QUERIES = 10_000
 DEFAULT_MAX_CANDIDATES = 1_000_000
+# what ``_DONE`` records of the signing: an index signed otherwise is stale
+_SIGNING = {"n_perm": N_PERM, "band_size": BAND_SIZE}
 
 
-def _band_hashes(sig: np.ndarray) -> list[str]:
-    """The 16 per-band blake2b hex hashes of one signature — the same
-    band hashing as the batch path (`dedup._minhash_batch`), so index and
-    dedup agree on what 'same bucket' means."""
-    return [
-        hashlib.blake2b(
-            sig[b * BAND_SIZE : (b + 1) * BAND_SIZE].tobytes(), digest_size=8
-        ).hexdigest()
-        for b in range(N_BANDS)
-    ]
+def _stale_param(done: dict) -> str | None:
+    """The first signing parameter whose value in ``done`` differs from
+    this code's, if any."""
+    return next((k for k, v in _SIGNING.items() if done.get(k) != v), None)
 
 
 def _band_bucket(band_hash: str, n_buckets: int) -> int:
@@ -91,20 +83,18 @@ def _band_bucket(band_hash: str, n_buckets: int) -> int:
 
 
 def _sig_batch(doc_col: str, text_col: str, n_buckets: int):
-    """(doc, text) -> (doc_id, sig bytes, sbucket).  Empty/whitespace docs
-    are skipped for the same skew reason as `_minhash_batch`
-    (dedup.py:619): they all share one padded-shingle signature and would
-    pile into single band buckets; exact dedup owns them."""
+    """(doc, text) -> (doc_id, sig bytes, sbucket); docs without a
+    signature (``dedup.text_signature``) are skipped."""
 
     def _s(batch: pa.Table) -> pa.Table:
-        doc_ids = batch.column(doc_col).to_pylist()
-        texts = batch.column(text_col).to_pylist()
         out_id, out_sig = [], []
-        for doc_id, text in zip(doc_ids, texts):
-            if not (text or "").split():
-                continue
-            out_id.append(doc_id)
-            out_sig.append(minhash_signature(char_shingles(text)).tobytes())
+        for doc_id, text in zip(
+            batch.column(doc_col).to_pylist(), batch.column(text_col).to_pylist()
+        ):
+            sig = text_signature(text)
+            if sig is not None:
+                out_id.append(doc_id)
+                out_sig.append(sig.tobytes())
         return pa.table(
             {
                 "doc_id": pa.array(out_id, pa.int64()),
@@ -125,7 +115,7 @@ def _bands_from_sigs(n_buckets: int):
         out_doc, out_band, out_hash, out_bucket = [], [], [], []
         for doc_id, sig_bytes in zip(doc_ids, sigs):
             sig = np.frombuffer(sig_bytes, dtype=np.uint64)
-            for b, h in enumerate(_band_hashes(sig)):
+            for b, h in enumerate(band_hashes(sig)):
                 out_doc.append(doc_id)
                 out_band.append(b)
                 out_hash.append(h)
@@ -156,7 +146,8 @@ def build_lsh_index(
     import ray
 
     out = pathlib.Path(out_dir)
-    if (out / "_DONE").exists():
+    done = out / "_DONE"
+    if done.exists() and _stale_param(json.loads(done.read_text())) is None:
         return str(out)
     tmp = out.with_name(out.name + "._building")
     shutil.rmtree(tmp, ignore_errors=True)
@@ -175,8 +166,8 @@ def build_lsh_index(
         ).map_batches(_bands_from_sigs(n_buckets), batch_format="pyarrow").write_parquet(
             str(tmp / "bands"), partition_cols=["bucket"]
         )
-    (tmp / "_DONE").write_text(json.dumps({"n_buckets": n_buckets}))
-    if out.exists():  # stale partial build (no _DONE): replace it
+    (tmp / "_DONE").write_text(json.dumps({"n_buckets": n_buckets, **_SIGNING}))
+    if out.exists():  # partial or stale build: replace it
         shutil.rmtree(out)
     tmp.rename(out)
     return str(out)
@@ -260,12 +251,19 @@ def lsh_lookup(
     import ray
 
     base = pathlib.Path(index_dir)
-    n_buckets = json.loads((base / "_DONE").read_text())["n_buckets"]
+    done = json.loads((base / "_DONE").read_text())
+    stale = _stale_param(done)
+    if stale is not None:
+        raise ValueError(
+            f"lsh_lookup: {index_dir} was signed with {stale}={done.get(stale)}, "
+            f"this code signs with {stale}={_SIGNING[stale]}; rebuild the index"
+        )
+    n_buckets = done["n_buckets"]
 
     def _pull(ds_small, empty_tbl):
         """Small-result driver pull; Aggregate/Join operators emit
-        SCHEMA-LESS blocks for empty hash partitions (the `_compact`
-        problem, dedup.py:769), so drop zero-row blocks before concat."""
+        SCHEMA-LESS blocks for empty hash partitions (the problem
+        ``dedup._compact`` solves), so drop zero-row blocks before concat."""
         tbls = [t for t in ray.get(ds_small.to_arrow_refs()) if t.num_rows > 0]
         return pa.concat_tables(tbls) if tbls else empty_tbl
 
@@ -303,7 +301,7 @@ def lsh_lookup(
     probe: dict[tuple[int, str], list[int]] = {}
     buckets: set[int] = set()
     for qid, sig in q_sig_arrs.items():
-        for b, h in enumerate(_band_hashes(sig)):
+        for b, h in enumerate(band_hashes(sig)):
             probe.setdefault((b, h), []).append(qid)
             buckets.add(_band_bucket(h, n_buckets))
 

@@ -216,7 +216,7 @@ def url_dedup(ds, col: str = "url", id_col: str = "doc_id"):
 
     Scale shape: canonicalize per batch (no exchange), then ONE groupby
     over the canonical key carrying only (canon_url, id) pairs — the
-    exact-content-dedup plan (functions/dedup.py:53) with the URL string
+    exact-content-dedup plan (``dedup.exact_dedup``) with the URL string
     as the digest; no page bytes cross the exchange.  Returns columns
     ``canon_url``, ``doc_id`` (keeper), ``n_dups``."""
     from ray.data.aggregate import Count, Min

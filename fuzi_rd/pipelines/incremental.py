@@ -55,7 +55,7 @@ def incremental_extract(
     per-url change classification (added/removed/changed/same) for
     lineage/metrics; removed pages appear only in ``classes_ds``.
     """
-    from fuzi_rd.functions.dedup import _compact, hash_join
+    from fuzi_rd.functions.dedup import _compact, semi_join
 
     if extract is None:
         from fuzi_rd.pipelines.extraction import extract_dataset
@@ -103,9 +103,7 @@ def incremental_extract(
     # extraction (that composition once deadlocked small CPU counts;
     # block refs stay in the object store, which spills — at crawl scale a
     # parquet checkpoint à la pipelines/corpus.py is the durable variant).
-    todo_pages = _compact(
-        hash_join(new_pages, todo_keys, "inner", num_partitions, (key_col,))
-    )
+    todo_pages = _compact(semi_join(new_pages, todo_keys, key_col, num_partitions))
     fresh = extract(todo_pages)
     if n_same == 0:
         return fresh, classes

@@ -29,7 +29,7 @@ from urllib.parse import urljoin
 import pyarrow as pa
 
 from fuzi_rd.dom import ELEMENT
-from fuzi_rd.functions.dedup import hash_join
+from fuzi_rd.functions.dedup import min_per_key, semi_join
 from fuzi_rd.stages.products import Product, run_products
 
 _CAP = 500  # per-field character cap: metadata, not content
@@ -149,8 +149,9 @@ def canonical_dedup_keep(pages_ds, meta_ds=None):
     Pages without a canonical link (or whose canonical equals their own
     url) are keyed by their own url, so they always survive.  The winner
     choice is a (canonical_key -> min(url)) groupby — fixed-width-ish key
-    rows on the exchange — followed by a hash-partitioned semi-join of the
-    winners back onto the page table, mirroring ``exact_dedup_keep``."""
+    rows on the exchange (``dedup.min_per_key``) — followed by a
+    hash-partitioned ``semi_join`` of the winners back onto the page table,
+    mirroring ``exact_dedup_keep``."""
     import pyarrow.compute as pc
 
     if meta_ds is None:
@@ -158,17 +159,9 @@ def canonical_dedup_keep(pages_ds, meta_ds=None):
 
     def key_rows(batch: pa.Table) -> pa.Table:
         url = batch.column("url")
-        canon = batch.column("canonical_url")
-        key = pc.coalesce(canon, url)
+        key = pc.coalesce(batch.column("canonical_url"), url)
         return pa.table({"canon_key": key, "url": url})
 
     keys = meta_ds.map_batches(key_rows, batch_format="pyarrow")
-    winners = keys.groupby("canon_key").min("url")
-
-    def winner_urls(b: pa.Table) -> pa.Table:
-        if b.num_columns != 2:  # schema-less empty aggregate block
-            return pa.schema([("url", pa.string())]).empty_table()
-        return pa.table({"url": b.column("min(url)")})
-
-    winner_ds = winners.map_batches(winner_urls, batch_format="pyarrow")
-    return hash_join(pages_ds, winner_ds, "inner", 16, ("url",))
+    winners = min_per_key(keys, "canon_key", "url", pa.string())
+    return semi_join(pages_ds, winners, "url", 16)

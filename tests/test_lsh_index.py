@@ -128,6 +128,37 @@ def test_lsh_build_idempotent_and_crash_safe(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_lsh_index_checks_its_signing_parameters(tmp_path):
+    """``_DONE`` records the signing (``n_perm``, ``band_size``) next to
+    ``n_buckets``.  A lookup on an index signed otherwise raises, naming
+    the parameter, and a build over it rebuilds it."""
+    import json
+
+    import ray
+
+    from fuzi_rd.functions.dedup import BAND_SIZE, N_PERM
+    from fuzi_rd.functions.lsh_index import build_lsh_index, lsh_lookup
+
+    ds = ray.data.read_parquet(
+        SF_DIR + "/documents.parquet", columns=["doc_id", "text"]
+    ).limit(50)
+    out = tmp_path / "lsh"
+    idx = build_lsh_index(ds, str(out), n_buckets=4)
+    done = json.loads((out / "_DONE").read_text())
+    assert done == {"n_buckets": 4, "n_perm": N_PERM, "band_size": BAND_SIZE}
+    queries = pa.table(
+        {"query_id": pa.array([1], pa.int64()), "text": pa.array(["some query text"])}
+    )
+    for key in ("n_perm", "band_size"):
+        (out / "_DONE").write_text(json.dumps({**done, key: done[key] // 2}))
+        with pytest.raises(ValueError, match=f"{key}={done[key] // 2}"):
+            lsh_lookup(idx, ray.data.from_arrow(queries))
+        build_lsh_index(ds, str(out), n_buckets=4)
+        assert json.loads((out / "_DONE").read_text()) == done
+    lsh_lookup(idx, ray.data.from_arrow(queries)).take_all()
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_lsh_lookup_rejects_duplicate_query_ids(tmp_path):
     """Query signatures are keyed by id: two queries sharing one id would
     collapse to the last signature, so the lookup must refuse them."""

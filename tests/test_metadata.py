@@ -134,3 +134,18 @@ def test_canonical_dedup_keep(ray_session):
         if s % 4 in (0, 1, 3)
     )
     assert kept == want
+
+    # a metadata side whose first block is empty: the winners still reach
+    # every join partition with their key column
+    pages = ray.data.from_arrow(
+        pa.table({"url": ["a", "b", "c"], "html": [b"x", b"y", b"z"]})
+    )
+    meta = pa.table(
+        {
+            "url": ["a", "b", "c"],
+            "canonical_url": pa.array([None, "a", None], pa.string()),
+        }
+    )
+    meta_ds = ray.data.from_arrow([meta.schema.empty_table(), meta]).materialize()
+    kept = sorted(r["url"] for r in canonical_dedup_keep(pages, meta_ds).take_all())
+    assert kept == ["a", "c"]
